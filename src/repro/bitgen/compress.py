@@ -17,6 +17,7 @@ constant.
 from __future__ import annotations
 
 from .generator import PartialBitstream
+from .words import words_from_bytes, words_to_bytes
 
 __all__ = ["compress", "decompress", "compression_ratio"]
 
@@ -28,24 +29,9 @@ RUN_MARKER = 0x38000000
 _MIN_RUN = 4
 
 
-def _words_of(data: bytes) -> list[int]:
-    if len(data) % 4:
-        raise ValueError("bitstream must be 32-bit aligned")
-    return [
-        int.from_bytes(data[i : i + 4], "big") for i in range(0, len(data), 4)
-    ]
-
-
-def _bytes_of(words: list[int]) -> bytes:
-    out = bytearray()
-    for word in words:
-        out.extend(word.to_bytes(4, "big"))
-    return bytes(out)
-
-
 def compress(data: bytes) -> bytes:
     """Run-length-compress a word-aligned bitstream."""
-    words = _words_of(data)
+    words = words_from_bytes(data).tolist()
     out: list[int] = []
     index = 0
     n = len(words)
@@ -60,12 +46,12 @@ def compress(data: bytes) -> bytes:
         else:
             out.extend(words[index : index + run])
             index += run
-    return _bytes_of(out)
+    return words_to_bytes(out)
 
 
 def decompress(data: bytes) -> bytes:
     """Invert :func:`compress`."""
-    words = _words_of(data)
+    words = words_from_bytes(data).tolist()
     out: list[int] = []
     index = 0
     while index < len(words):
@@ -81,7 +67,7 @@ def decompress(data: bytes) -> bytes:
         else:
             out.append(word)
             index += 1
-    return _bytes_of(out)
+    return words_to_bytes(out)
 
 
 def compression_ratio(bitstream: PartialBitstream | bytes) -> float:

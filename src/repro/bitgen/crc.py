@@ -6,11 +6,22 @@ the bitstream.  We model this with a standard CRC-32 (the exact Xilinx
 polynomial is CRC-32C over 36-bit units; using zlib-compatible CRC-32 over
 the register-tagged byte stream preserves the protocol property that
 matters — any corrupted configuration word fails the final check).
+
+:meth:`ConfigCrc.update_words` folds a whole FDRI burst in one
+``zlib.crc32`` call over the same interleaved 5-byte records that
+:meth:`ConfigCrc.update` hashes one at a time, so both give one value.
 """
 
 from __future__ import annotations
 
 import zlib
+
+try:  # soft import: numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships with the package
+    np = None  # type: ignore[assignment]
+
+from .words import require_numpy
 
 __all__ = ["ConfigCrc"]
 
@@ -33,6 +44,20 @@ class ConfigCrc:
             )
         )
         self._crc = zlib.crc32(payload, self._crc)
+
+    def update_words(self, register: int, words) -> None:
+        """Fold a run of writes to one register into the CRC.
+
+        Same value as calling :meth:`update` once per word: the records
+        are the ``(register, big-endian word)`` 5-byte units, hashed in
+        one ``zlib.crc32`` call.
+        """
+        require_numpy()
+        be = np.asarray(words, dtype=">u4")
+        records = np.empty((be.size, 5), dtype=np.uint8)
+        records[:, 0] = register & 0xFF
+        records[:, 1:] = be.reshape(-1, 1).view(np.uint8)
+        self._crc = zlib.crc32(records, self._crc)
 
     @property
     def value(self) -> int:

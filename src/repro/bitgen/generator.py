@@ -17,12 +17,24 @@ uses, so for every PRR::
 — the validation the paper could not perform against vendor documentation.
 Frame payloads are deterministic pseudo-data seeded by the design name
 (a real PRM's LUT masks/FF init values), so regeneration is reproducible.
+
+Each FDRI burst is built as one ``(frames + 1) x frame_words`` numpy
+``uint32`` array (the last row is the zero flush frame): the default
+xorshift payloads of all its frames advance together, one step per frame
+word, and the burst enters the configuration CRC in one
+:meth:`~repro.bitgen.crc.ConfigCrc.update_words` call.  The bitstream is
+held as its big-endian bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+try:  # soft import: numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships with the package
+    np = None  # type: ignore[assignment]
 
 from ..devices.fabric import Device, Region
 from ..devices.frames import (
@@ -41,8 +53,11 @@ from .words import (
     NOOP,
     Opcode,
     SYNC_WORD,
+    require_numpy,
     type1_header,
     type2_header,
+    words_from_bytes,
+    words_to_bytes,
 )
 
 __all__ = [
@@ -56,46 +71,62 @@ __all__ = [
 VIRTUAL_IDCODE = 0x52EB2015
 
 
-def frame_payload(seed: int, far_word: int, frame_words: int) -> list[int]:
-    """Deterministic pseudo-content for one frame.
+def _xorshift_frames(seed: int, fars: "np.ndarray", frame_words: int) -> "np.ndarray":
+    """Pseudo-content of many frames: row *i* is the stream keyed by ``fars[i]``.
+
+    *fars* is a ``uint32`` array of encoded frame addresses.
 
     A 32-bit xorshift stream keyed by (seed, FAR) — stable across runs and
-    platforms, which keeps bitstream regeneration reproducible.
+    platforms, which keeps bitstream regeneration reproducible.  The state
+    vector carries every frame at once, so the loop runs over the
+    *frame_words* steps, not over words.
     """
-    state = (seed ^ (far_word * 0x9E3779B1) ^ 0xDEADBEEF) & 0xFFFFFFFF
-    if state == 0:
-        state = 0x1
-    words = []
-    for _ in range(frame_words):
-        state ^= (state << 13) & 0xFFFFFFFF
+    state = (
+        np.uint32(seed & 0xFFFFFFFF)
+        ^ (fars * np.uint32(0x9E3779B1))
+        ^ np.uint32(0xDEADBEEF)
+    )
+    state[state == 0] = 1
+    out = np.empty((state.size, frame_words), dtype=np.uint32)
+    for step in range(frame_words):
+        state ^= state << 13
         state ^= state >> 17
-        state ^= (state << 5) & 0xFFFFFFFF
-        words.append(state)
-    return words
+        state ^= state << 5
+        out[:, step] = state
+    return out
+
+
+def frame_payload(seed: int, far_word: int, frame_words: int) -> list[int]:
+    """Deterministic pseudo-content for one frame (see :func:`_xorshift_frames`)."""
+    require_numpy()
+    fars = np.array([far_word & 0xFFFFFFFF], dtype=np.uint32)
+    return _xorshift_frames(seed, fars, frame_words)[0].tolist()
 
 
 @dataclass(frozen=True)
 class PartialBitstream:
-    """A generated partial bitstream."""
+    """A generated partial bitstream, held as its big-endian bytes."""
 
     design_name: str
     device_name: str
     region: Region
-    words: tuple[int, ...]
+    data: bytes = field(repr=False)
+
+    @property
+    def words(self) -> tuple[int, ...]:
+        """The 32-bit configuration words, decoded from ``data``."""
+        return tuple(words_from_bytes(self.data).tolist())
 
     def to_bytes(self) -> bytes:
         """Big-endian byte serialization (SelectMAP/ICAP word order)."""
-        out = bytearray()
-        for word in self.words:
-            out.extend(word.to_bytes(4, "big"))
-        return bytes(out)
+        return self.data
 
     @property
     def size_bytes(self) -> int:
-        return len(self.words) * 4
+        return len(self.data)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.data) // 4
 
 
 def _seed(design_name: str) -> int:
@@ -153,7 +184,27 @@ def _trailer_words(crc: ConfigCrc) -> list[int]:
 
 
 #: Maps a (block_type, encoded FAR) to the frame's payload words.
-PayloadFn = Callable[[int, int], list[int]]
+PayloadFn = Callable[[int, int], Sequence[int]]
+
+
+def _burst_fars(
+    device: Device, region: Region, row: int, block_type: int
+) -> "np.ndarray":
+    """Encoded FARs of one row's data frames, in burst order.
+
+    Minors within a column, then the next covered column to the right;
+    columns without frames of *block_type* contribute none.
+    """
+    runs = []
+    for col in region.col_span:
+        n_frames = frames_in_column(device, col, block_type)
+        if n_frames:
+            # Encoding the last minor lets FrameAddress range-check the run.
+            last = FrameAddress(
+                block_type=block_type, row=row - 1, major=col - 1, minor=n_frames - 1
+            ).encode()
+            runs.append(np.arange(last - n_frames + 1, last + 1, dtype=np.uint32))
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.uint32)
 
 
 def _row_block(
@@ -161,19 +212,21 @@ def _row_block(
     region: Region,
     row: int,
     block_type: int,
-    payload_fn: PayloadFn,
+    payload_fn: PayloadFn | None,
+    seed: int,
     crc: ConfigCrc,
-) -> list[int]:
+) -> list[bytes]:
     """One per-row block: 5-word FAR/FDRI preamble + data + flush frame.
 
     For ``BLOCK_TYPE_CONFIG`` every covered column contributes its
     configuration frames; for ``BLOCK_TYPE_BRAM_CONTENT`` only BRAM
-    columns contribute (their 128 initialization frames each).
+    columns contribute (their 128 initialization frames each).  Frame
+    payloads come from *payload_fn*, or from the xorshift stream of
+    *seed* when it is ``None``.
     """
     fam = device.family
-    data_frames = sum(
-        frames_in_column(device, col, block_type) for col in region.col_span
-    )
+    fars = _burst_fars(device, region, row, block_type)
+    data_frames = fars.size
     if block_type == BLOCK_TYPE_BRAM_CONTENT and data_frames == 0:
         return []
 
@@ -190,26 +243,49 @@ def _row_block(
     words.append(type2_header(Opcode.WRITE, burst_words))
     assert len(words) == fam.far_fdri_words, "preamble must equal FAR_FDRI"
 
-    for col in region.col_span:
-        n_frames = frames_in_column(device, col, block_type)
-        for minor in range(n_frames):
-            far = FrameAddress(
-                block_type=block_type, row=row - 1, major=col - 1, minor=minor
-            ).encode()
+    # The last row stays zero: the pipeline flush frame, the "+1" of
+    # eqs. (19)/(23).
+    burst = np.zeros((data_frames + 1, fam.frame_words), dtype=np.uint32)
+    if payload_fn is None:
+        burst[:data_frames] = _xorshift_frames(seed, fars, fam.frame_words)
+    else:
+        for index, far in enumerate(fars.tolist()):
             payload = payload_fn(block_type, far)
             if len(payload) != fam.frame_words:
                 raise ValueError(
                     f"payload for FAR 0x{far:08X} has {len(payload)} words, "
                     f"expected {fam.frame_words}"
                 )
-            for word in payload:
-                words.append(word)
-                crc.update(ConfigRegister.FDRI, word)
-    # Pipeline flush frame (all zeros) — the "+1" of eqs. (19)/(23).
-    for _ in range(fam.frame_words):
-        words.append(0)
-        crc.update(ConfigRegister.FDRI, 0)
-    return words
+            burst[index] = payload
+    crc.update_words(ConfigRegister.FDRI, burst)
+    return [words_to_bytes(words), words_to_bytes(burst)]
+
+
+def _assemble(
+    device: Device,
+    regions: "list[Region] | tuple[Region, ...]",
+    design_name: str,
+    payload_fn: PayloadFn | None,
+) -> PartialBitstream:
+    """Header, then each region's per-row config/BRAM blocks, then trailer."""
+    seed = _seed(design_name)
+    crc = ConfigCrc()
+    chunks = [words_to_bytes(_header_words(crc))]
+    for region in regions:
+        for row in region.row_span:
+            for block_type in (BLOCK_TYPE_CONFIG, BLOCK_TYPE_BRAM_CONTENT):
+                chunks.extend(
+                    _row_block(
+                        device, region, row, block_type, payload_fn, seed, crc
+                    )
+                )
+    chunks.append(words_to_bytes(_trailer_words(crc)))
+    return PartialBitstream(
+        design_name=design_name,
+        device_name=device.name,
+        region=regions[0],
+        data=b"".join(chunks),
+    )
 
 
 def generate_partial_bitstream(
@@ -240,31 +316,7 @@ def generate_partial_bitstream(
             "generator header/trailer layouts are built for IW=16/FW=14"
         )
 
-    if payload_fn is None:
-        seed = _seed(design_name)
-        frame_words = device.family.frame_words
-
-        def payload_fn(block_type: int, far: int, _s=seed, _n=frame_words):
-            return frame_payload(_s, far, _n)
-
-    crc = ConfigCrc()
-    words = _header_words(crc)
-    for row in region.row_span:
-        words.extend(
-            _row_block(device, region, row, BLOCK_TYPE_CONFIG, payload_fn, crc)
-        )
-        words.extend(
-            _row_block(
-                device, region, row, BLOCK_TYPE_BRAM_CONTENT, payload_fn, crc
-            )
-        )
-    words.extend(_trailer_words(crc))
-    return PartialBitstream(
-        design_name=design_name,
-        device_name=device.name,
-        region=region,
-        words=tuple(words),
-    )
+    return _assemble(device, (region,), design_name, payload_fn)
 
 
 def generate_composite_bitstream(
@@ -294,29 +346,4 @@ def generate_composite_bitstream(
             if a.overlaps(b):
                 raise ValueError(f"regions {a} and {b} overlap")
 
-    if payload_fn is None:
-        seed = _seed(design_name)
-        frame_words = device.family.frame_words
-
-        def payload_fn(block_type: int, far: int, _s=seed, _n=frame_words):
-            return frame_payload(_s, far, _n)
-
-    crc = ConfigCrc()
-    words = _header_words(crc)
-    for region in regions:
-        for row in region.row_span:
-            words.extend(
-                _row_block(device, region, row, BLOCK_TYPE_CONFIG, payload_fn, crc)
-            )
-            words.extend(
-                _row_block(
-                    device, region, row, BLOCK_TYPE_BRAM_CONTENT, payload_fn, crc
-                )
-            )
-    words.extend(_trailer_words(crc))
-    return PartialBitstream(
-        design_name=design_name,
-        device_name=device.name,
-        region=regions[0],
-        words=tuple(words),
-    )
+    return _assemble(device, regions, design_name, payload_fn)

@@ -1,10 +1,14 @@
 """Bitstream parser / disassembler.
 
-Walks a partial bitstream word by word — sync detection, packet decoding,
-register tracking, CRC re-computation — and reconstructs its structure:
-per-row configuration and BRAM-initialization blocks with their FARs and
-frame counts.  ``section_bytes()`` attributes every byte to the Fig. 2
-sections using the exact keys of
+Walks a partial bitstream packet by packet — sync detection, packet
+decoding, register tracking, CRC re-computation — and reconstructs its
+structure: per-row configuration and BRAM-initialization blocks with
+their FARs and frame counts.  The words are one ``np.frombuffer(data,
+">u4")`` view; each FDRI burst is skipped as a slice and folded into the
+CRC with one :meth:`~repro.bitgen.crc.ConfigCrc.update_words` call, so
+only packet headers and register writes are read one word at a time.
+``section_bytes()`` attributes every byte to the Fig. 2 sections using
+the exact keys of
 :meth:`repro.core.bitstream_model.BitstreamEstimate.breakdown`, which is
 how the model-vs-measured validation is performed term by term.
 """
@@ -13,23 +17,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+try:  # soft import: numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships with the package
+    np = None  # type: ignore[assignment]
+
 from ..devices.frames import BLOCK_TYPE_BRAM_CONTENT, FrameAddress
-from ..errors import ParseError
 from .crc import ConfigCrc
 from .words import (
+    BitstreamParseError,
     Command,
     ConfigRegister,
     NOOP,
     Opcode,
     SYNC_WORD,
     decode_header,
+    words_from_bytes,
 )
 
 __all__ = ["BitstreamParseError", "FdriBlock", "ParsedBitstream", "parse_bitstream"]
-
-
-class BitstreamParseError(ParseError):
-    """The byte stream is not a well-formed partial bitstream."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,17 +97,6 @@ class ParsedBitstream:
         }
 
 
-def _words_from_bytes(data: bytes) -> list[int]:
-    if len(data) % 4:
-        raise BitstreamParseError(
-            f"bitstream length {len(data)} is not 32-bit word aligned"
-        )
-    return [
-        int.from_bytes(data[offset : offset + 4], "big")
-        for offset in range(0, len(data), 4)
-    ]
-
-
 def parse_bitstream(data: bytes) -> ParsedBitstream:
     """Parse a partial bitstream produced by the generator.
 
@@ -122,11 +117,11 @@ def parse_bitstream(data: bytes) -> ParsedBitstream:
 
 
 def _parse(data: bytes) -> ParsedBitstream:
-    words = _words_from_bytes(data)
-    try:
-        sync_index = words.index(SYNC_WORD)
-    except ValueError:
-        raise BitstreamParseError("no sync word found") from None
+    words = words_from_bytes(data)
+    sync_hits = np.flatnonzero(words == SYNC_WORD)
+    if not sync_hits.size:
+        raise BitstreamParseError("no sync word found")
+    sync_index = int(sync_hits[0])
 
     crc = ConfigCrc()
     blocks: list[FdriBlock] = []
@@ -141,7 +136,7 @@ def _parse(data: bytes) -> ParsedBitstream:
 
     index = sync_index + 1
     while index < len(words):
-        word = words[index]
+        word = int(words[index])
         if word == NOOP:
             index += 1
             continue
@@ -174,8 +169,9 @@ def _parse(data: bytes) -> ParsedBitstream:
         if register is ConfigRegister.FAR:
             if header.word_count != 1:
                 raise BitstreamParseError("FAR write must carry one word")
-            current_far = FrameAddress.decode(words[payload_start])
-            crc.update(ConfigRegister.FAR, words[payload_start])
+            far_word = int(words[payload_start])
+            current_far = FrameAddress.decode(far_word)
+            crc.update(ConfigRegister.FAR, far_word)
             if first_block_start is None:
                 first_block_start = index
             preamble_count = 2
@@ -190,7 +186,7 @@ def _parse(data: bytes) -> ParsedBitstream:
             commands.append(wcfg)
             preamble_count += 2
             index = _skip_noops(words, index)
-            t2 = decode_header(words[index])
+            t2 = decode_header(int(words[index]))
             if t2.packet_type != 2 or t2.opcode is not Opcode.WRITE:
                 raise BitstreamParseError("expected type-2 FDRI burst after WCFG")
             preamble_count += 1
@@ -198,8 +194,7 @@ def _parse(data: bytes) -> ParsedBitstream:
             burst_end = burst_start + t2.word_count
             if burst_end > len(words):
                 raise BitstreamParseError("truncated FDRI burst")
-            for data_word in words[burst_start:burst_end]:
-                crc.update(ConfigRegister.FDRI, data_word)
+            crc.update_words(ConfigRegister.FDRI, words[burst_start:burst_end])
             blocks.append(
                 FdriBlock(
                     far=current_far,
@@ -222,17 +217,12 @@ def _parse(data: bytes) -> ParsedBitstream:
             if header.word_count != 1:
                 raise BitstreamParseError("CRC write must carry one word")
             crc_checked = True
-            crc_ok = words[payload_start] == crc.value
+            crc_ok = int(words[payload_start]) == crc.value
             index = payload_end
             continue
 
         # Other registers (IDCODE, COR, ...): fold into CRC and skip.
-        for payload_word in words[payload_start:payload_end]:
-            crc.update(register, payload_word)
-            if register is ConfigRegister.CMD and payload_word == Command.RCRC:
-                crc.reset()
-        if register is ConfigRegister.IDCODE or register is ConfigRegister.COR:
-            pass
+        crc.update_words(register, words[payload_start:payload_end])
         index = payload_end
 
     if desynced_at is None:
@@ -255,7 +245,7 @@ def _parse(data: bytes) -> ParsedBitstream:
     )
 
 
-def _skip_noops(words: list[int], index: int) -> int:
+def _skip_noops(words: "np.ndarray", index: int) -> int:
     while index < len(words) and words[index] == NOOP:
         index += 1
     if index >= len(words):
@@ -264,9 +254,9 @@ def _skip_noops(words: list[int], index: int) -> int:
 
 
 def _read_cmd(
-    words: list[int], index: int, crc: ConfigCrc
+    words: "np.ndarray", index: int, crc: ConfigCrc
 ) -> tuple[int, Command]:
-    header = decode_header(words[index])
+    header = decode_header(int(words[index]))
     if (
         header.packet_type != 1
         or header.register is not ConfigRegister.CMD
@@ -275,7 +265,7 @@ def _read_cmd(
         raise BitstreamParseError(f"expected CMD write at offset {index}")
     if index + 1 >= len(words):
         raise BitstreamParseError("truncated CMD write")
-    value = words[index + 1]
+    value = int(words[index + 1])
     try:
         command = Command(value)
     except ValueError:

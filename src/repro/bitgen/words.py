@@ -14,11 +14,21 @@ immediately before a type-2 burst is folded away, so each per-row block is
 exactly ``FAR_FDRI = 5`` words of preamble (FAR write, CMD=WCFG write,
 type-2 FDRI header) followed by the data words — matching the paper's
 eq. (19)/(23) structure term for term.
+
+:func:`words_from_bytes` and :func:`words_to_bytes` are the one
+conversion between a bitstream's bytes and its big-endian 32-bit words.
 """
 
 from __future__ import annotations
 
 import enum
+
+try:  # soft import: numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships with the package
+    np = None  # type: ignore[assignment]
+
+from ..errors import MissingDependency, ParseError
 
 __all__ = [
     "DUMMY_WORD",
@@ -33,6 +43,9 @@ __all__ = [
     "type2_header",
     "decode_header",
     "PacketHeader",
+    "BitstreamParseError",
+    "words_from_bytes",
+    "words_to_bytes",
 ]
 
 DUMMY_WORD = 0xFFFFFFFF
@@ -87,6 +100,39 @@ class Command(enum.IntEnum):
     SHUTDOWN = 11
     GCAPTURE = 12
     DESYNC = 13
+
+
+class BitstreamParseError(ParseError):
+    """The byte stream is not a well-formed partial bitstream."""
+
+
+def require_numpy() -> None:
+    """Raise a typed error when numpy, which bitgen computes with, is missing."""
+    if np is None:  # pragma: no cover - numpy ships with the package
+        raise MissingDependency(
+            "repro.bitgen builds and parses bitstreams with numpy, which is "
+            "not importable in this environment; install it with "
+            "`pip install numpy`"
+        )
+
+
+def words_from_bytes(data: bytes) -> "np.ndarray":
+    """Big-endian 32-bit words of *data* as a read-only ``>u4`` array view.
+
+    Raises :class:`BitstreamParseError` when *data* is not word aligned.
+    """
+    require_numpy()
+    if len(data) % 4:
+        raise BitstreamParseError(
+            f"bitstream length {len(data)} is not 32-bit word aligned"
+        )
+    return np.frombuffer(data, dtype=">u4")
+
+
+def words_to_bytes(words) -> bytes:
+    """Big-endian byte serialization of 32-bit words (SelectMAP/ICAP order)."""
+    require_numpy()
+    return np.asarray(words, dtype=">u4").tobytes()
 
 
 _TYPE_SHIFT = 29

@@ -189,8 +189,8 @@ def prr_geometry_for_rows(
     if rows < 1:
         raise ValueError("rows (H) must be >= 1")
     result = _cached_geometry(key, family, rows, single_dsp_column)
-    if isinstance(result, InfeasibleGeometryError):
-        raise result
+    if isinstance(result, str):
+        raise InfeasibleGeometryError(result)
     return result
 
 
@@ -200,10 +200,11 @@ def _cached_geometry(
     family: DeviceFamily,
     rows: int,
     single_dsp_column: bool,
-) -> PRRGeometry | InfeasibleGeometryError:
+) -> PRRGeometry | str:
     # lru_cache does not cache raised exceptions, and the infeasible rows of
-    # the Fig. 1 H-loop are exactly the hot repeats — so store the error
-    # instance as a value and let the caller raise it.
+    # the Fig. 1 H-loop are exactly the hot repeats — so store the verdict's
+    # message and let the caller raise a fresh error.  Caching the instance
+    # would pin its traceback, which grows by a frame pair on every re-raise.
     try:
         merged = ResourceVector()
         for prm in requirements:
@@ -212,7 +213,7 @@ def _cached_geometry(
             )
         return PRRGeometry(family=family, rows=rows, columns=merged)
     except InfeasibleGeometryError as error:
-        return error
+        return error.message
 
 
 def geometry_cache_info():

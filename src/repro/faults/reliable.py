@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..bitgen.crc import ConfigCrc
-from ..bitgen.words import ConfigRegister
+from ..bitgen.words import ConfigRegister, words_from_bytes
 from ..errors import InvalidInput
 from ..icap.controllers import ReconfigController
 from ..icap.reconfig import simulate_reconfiguration
@@ -51,9 +51,8 @@ def payload_crc(data: bytes) -> int:
     partial word is zero-padded, matching the port's word alignment.
     """
     crc = ConfigCrc()
-    for offset in range(0, len(data), 4):
-        word = int.from_bytes(data[offset : offset + 4].ljust(4, b"\0"), "big")
-        crc.update(ConfigRegister.FDRI, word)
+    padded = bytes(data) + b"\0" * (-len(data) % 4)
+    crc.update_words(ConfigRegister.FDRI, words_from_bytes(padded))
     return crc.value
 
 

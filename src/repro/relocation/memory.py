@@ -25,6 +25,7 @@ from ..bitgen.words import (
     Opcode,
     SYNC_WORD,
     decode_header,
+    words_from_bytes,
 )
 from ..devices.fabric import Device, Region
 from ..devices.frames import (
@@ -98,10 +99,7 @@ class ConfigMemory:
         addressed location.  The trailing flush frame of each burst is
         pipeline padding and is not committed.
         """
-        words = [
-            int.from_bytes(bitstream_bytes[i : i + 4], "big")
-            for i in range(0, len(bitstream_bytes), 4)
-        ]
+        words = words_from_bytes(bitstream_bytes).tolist()
         try:
             index = words.index(SYNC_WORD) + 1
         except ValueError:

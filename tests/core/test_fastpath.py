@@ -5,6 +5,7 @@ these tests assert that equivalence directly.
 """
 
 import random
+import traceback
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.core.fastpath import (
 )
 from repro.core.placement_search import PlacementNotFoundError, find_prr
 from repro.core.prr_model import (
+    InfeasibleGeometryError,
+    _cached_geometry,
     clear_geometry_cache,
     geometry_cache_info,
     prr_geometry_for_rows,
@@ -210,6 +213,21 @@ class TestGeometryMemoization:
         with pytest.raises(InfeasibleGeometryError, match="needs H >="):
             prr_geometry_for_rows(prm, VIRTEX5, 1, single_dsp_column=True)
         assert geometry_cache_info().hits > before
+
+    def test_infeasible_hits_pin_no_growing_traceback(self):
+        clear_geometry_cache()
+        prm = paper_requirements("fir", "virtex5")
+        errors, depths = [], []
+        for _ in range(6):
+            with pytest.raises(InfeasibleGeometryError, match="needs H >=") as info:
+                prr_geometry_for_rows(prm, VIRTEX5, 1, single_dsp_column=True)
+            errors.append(info.value)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert len(set(depths)) == 1, f"traceback depth grows across hits: {depths}"
+        assert len({id(e) for e in errors}) == len(errors)
+        assert len({str(e) for e in errors}) == 1
+        entry = _cached_geometry((prm,), VIRTEX5, 1, True)
+        assert getattr(entry, "__traceback__", None) is None
 
 
 class TestPlacementCache:

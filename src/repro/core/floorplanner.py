@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..devices.fabric import Device, Region
+from ..devices.freespace import fragmentation_index, free_cell_grid
 from ..errors import InfeasiblePlacement
 from .bitstream_model import bitstream_size_bytes
 from .params import PRMRequirements
@@ -125,24 +126,9 @@ class Floorplan:
         0.0 means the static region is one contiguous rectangle (ideal for
         timing and routing); values near 1.0 mean the PRRs shredded it.
         """
-        free = self._free_cells()
-        total_free = sum(sum(row) for row in free)
-        if total_free == 0:
-            return 0.0
-        largest = _largest_rectangle(free)
-        return 1.0 - largest / total_free
-
-    def _free_cells(self) -> list[list[bool]]:
-        """rows x columns grid of cells free for the static region."""
-        grid = [
-            [self.device.columns[c].reconfigurable for c in range(self.device.num_columns)]
-            for _ in range(self.device.rows)
-        ]
-        for prr in self.prrs:
-            for row in prr.region.row_span:
-                for col in prr.region.col_span:
-                    grid[row - 1][col - 1] = False
-        return grid
+        return fragmentation_index(
+            free_cell_grid(self.device, [prr.region for prr in self.prrs])
+        )
 
     def summary(self) -> str:
         parts = [
@@ -317,33 +303,6 @@ def _place_in_order(
         partial.append((names[index], prr))
     ordered = tuple(placed[i] for i in range(len(groups)))
     return Floorplan(device=device, prrs=ordered, group_names=names), partial, None
-
-
-def _largest_rectangle(grid: list[list[bool]]) -> int:
-    """Largest all-True rectangle (classic histogram sweep)."""
-    if not grid:
-        return 0
-    width = len(grid[0])
-    heights = [0] * width
-    best = 0
-    for row in grid:
-        for c in range(width):
-            heights[c] = heights[c] + 1 if row[c] else 0
-        best = max(best, _largest_in_histogram(heights))
-    return best
-
-
-def _largest_in_histogram(heights: list[int]) -> int:
-    stack: list[int] = []
-    best = 0
-    for index, height in enumerate(list(heights) + [0]):
-        start = index
-        while stack and heights[stack[-1]] >= height:
-            top = stack.pop()
-            start_index = stack[-1] + 1 if stack else 0
-            best = max(best, heights[top] * (index - start_index))
-        stack.append(index)
-    return best
 
 
 def render_floorplan(plan: Floorplan) -> str:

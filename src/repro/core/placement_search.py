@@ -119,20 +119,30 @@ def iter_feasible_placements(
         if isinstance(forbidden, RegionOccupancy)
         else RegionOccupancy(forbidden)
     )
-    limit = device.rows if max_rows is None else min(max_rows, device.rows)
-    for rows in range(1, limit + 1):
-        try:
-            geometry = prr_geometry_for_rows(
-                requirements,
-                device.family,
-                rows,
-                single_dsp_column=device.has_single_dsp_column,
-            )
-        except InfeasibleGeometryError:
-            continue
+    for geometry in _feasible_geometries(device, requirements, max_rows):
         placement = _place_geometry(device, geometry, occupancy)
         if placement is not None:
             yield placement
+
+
+def _feasible_geometries(
+    device: Device,
+    requirements: PRMRequirements | Sequence[PRMRequirements],
+    max_rows: int | None,
+) -> Iterator[PRRGeometry]:
+    """The eq. (1)-(6) geometry of every feasible H, in increasing-H order."""
+    limit = device.rows if max_rows is None else min(max_rows, device.rows)
+    single_dsp_column = device.has_single_dsp_column
+    for rows in range(1, limit + 1):
+        try:
+            yield prr_geometry_for_rows(
+                requirements,
+                device.family,
+                rows,
+                single_dsp_column=single_dsp_column,
+            )
+        except InfeasibleGeometryError:
+            continue
 
 
 def _place_geometry(
@@ -179,29 +189,31 @@ def find_prr(
     feasible geometry (e.g. too few rows for a single-DSP-column demand, or
     no contiguous column window with the right mix).
     """
-    best: PlacedPRR | None = None
-    best_key: tuple[int, int, int, int] | None = None
-    for candidate in iter_feasible_placements(
-        device, requirements, max_rows=max_rows, forbidden=forbidden
-    ):
-        primary = (
-            candidate.size if objective == "size" else candidate.bitstream_bytes
-        )
-        key = (
-            primary,
-            candidate.geometry.rows,
-            candidate.region.row,
-            candidate.region.col,
-        )
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
-    if best is None:
-        names = _names(requirements)
-        raise PlacementNotFoundError(
-            f"no feasible PRR on {device.name} for {names} "
-            f"(objective={objective})"
-        )
-    return best
+    # Each H contributes exactly one candidate (its bottom-left window),
+    # so ranking the geometries by (objective, H) and stopping at the
+    # first one that places gives the (objective, H, row, col) minimum
+    # without scanning windows for the H values that cannot win.
+    ranked = sorted(
+        _feasible_geometries(device, requirements, max_rows),
+        key=lambda g: (
+            g.size if objective == "size" else cached_bitstream_bytes(g),
+            g.rows,
+        ),
+    )
+    occupancy = (
+        forbidden
+        if isinstance(forbidden, RegionOccupancy)
+        else RegionOccupancy(forbidden)
+    )
+    for geometry in ranked:
+        placement = _place_geometry(device, geometry, occupancy)
+        if placement is not None:
+            return placement
+    names = _names(requirements)
+    raise PlacementNotFoundError(
+        f"no feasible PRR on {device.name} for {names} "
+        f"(objective={objective})"
+    )
 
 
 def _names(requirements: PRMRequirements | Sequence[PRMRequirements]) -> str:

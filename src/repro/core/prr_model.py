@@ -141,8 +141,8 @@ class PRRGeometry:
             avail.clb >= clb_req
             and avail.dsp >= requirements.dsps
             and avail.bram >= requirements.brams
-            and self.luts_available >= requirements.luts
-            and self.ffs_available >= requirements.ffs
+            and self.family.luts_in_clbs(avail.clb) >= requirements.luts
+            and self.family.ffs_in_clbs(avail.clb) >= requirements.ffs
         )
 
     def __repr__(self) -> str:

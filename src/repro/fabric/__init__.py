@@ -11,13 +11,13 @@ See :class:`FabricRuntime` for the main entry point;
 place of a PRR list and dispatches to :func:`simulate_on_fabric`.
 """
 
-from .defrag import MigrationStep, plan_defrag_pass
-from .fragmentation import (
+from ..devices.freespace import (
     fragmentation_index,
     free_cell_grid,
     largest_free_rectangle,
     total_free_cells,
 )
+from .defrag import MigrationStep, plan_defrag_pass
 from .runtime import (
     AdmissionError,
     DefragResult,

@@ -3,7 +3,7 @@
 Van der Veen et al. style module-layout defragmentation, adapted to the
 column-window fabric model: a module may only move to a region with the
 identical column-kind sequence (the HTR relocation constraint), so the
-planner asks :func:`repro.relocation.find_compatible_regions` for each
+planner walks :func:`repro.relocation.iter_compatible_regions` for each
 module's legal targets — with the occupied regions and the permanent-
 fault blacklist excluded — and greedily moves every movable module to
 the most bottom-left compatible hole.  One plan is a single pass; the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 from ..devices.fabric import Device, Region
-from ..relocation.relocate import find_compatible_regions
+from ..relocation.relocate import iter_compatible_regions
 
 __all__ = ["MigrationStep", "plan_defrag_pass"]
 
@@ -63,19 +63,19 @@ def plan_defrag_pass(
         source = current[name]
         exclude = [r for other, r in current.items() if other != name]
         exclude.extend(banned)
-        # A target overlapping its own source cannot be migrated safely:
-        # the copy -> verify -> activate -> free protocol frees the
-        # source frames after activation, which would wipe part of the
-        # just-activated target.
-        targets = [
-            region
-            for region in find_compatible_regions(device, source, exclude=exclude)
-            if not region.overlaps(source)
-        ]
-        if not targets:
-            continue
-        best = min(targets, key=lambda r: (r.row, r.col))
-        if (best.row, best.col) < (source.row, source.col):
-            steps.append(MigrationStep(name=name, source=source, target=best))
-            current[name] = best
+        # Targets come in (row, col) order, so the first one that does
+        # not overlap its own source is the bottom-left choice, and none
+        # at or past the source's own (row, col) is an improvement.
+        for target in iter_compatible_regions(device, source, exclude=exclude):
+            if (target.row, target.col) >= (source.row, source.col):
+                break
+            # A target overlapping its own source cannot be migrated
+            # safely: the copy -> verify -> activate -> free protocol
+            # frees the source frames after activation, which would wipe
+            # part of the just-activated target.
+            if target.overlaps(source):
+                continue
+            steps.append(MigrationStep(name=name, source=source, target=target))
+            current[name] = target
+            break
     return steps

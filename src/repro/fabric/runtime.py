@@ -8,7 +8,7 @@ over a run's lifetime:
   admission re-runs the Fig. 1 placement search against the currently
   occupied regions and the permanent-fault blacklist;
 * **fragmentation tracking** — the free-cell grid's largest free
-  rectangle and fragmentation index (:mod:`repro.fabric.fragmentation`)
+  rectangle and fragmentation index (:mod:`repro.devices.freespace`)
   gate a defragmentation pass whenever admission fails;
 * **defragmentation with transactional migration** — each planned move
   (:mod:`repro.fabric.defrag`) executes as *copy → CRC verify → activate
@@ -36,7 +36,7 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..bitgen.generator import PartialBitstream, generate_partial_bitstream
 from ..core.floorplanner import Floorplan, floorplan
@@ -47,6 +47,11 @@ from ..core.placement_search import (
     find_prr,
 )
 from ..devices.fabric import Device, Region
+from ..devices.freespace import (
+    fragmentation_index,
+    free_cell_grid,
+    largest_free_rectangle,
+)
 from ..errors import InfeasiblePlacement, InvalidInput
 from ..faults.degraded import QuarantineEscalation
 from ..faults.injector import FaultInjector
@@ -55,11 +60,9 @@ from ..obs import trace as _obs
 from ..relocation.memory import ConfigMemory
 from ..relocation.relocate import relocate_bitstream
 from .defrag import MigrationStep, plan_defrag_pass
-from .fragmentation import (
-    fragmentation_index,
-    free_cell_grid,
-    largest_free_rectangle,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AdmissionError",
@@ -248,7 +251,7 @@ class FabricRuntime:
             for col in sorted(self._retired_columns)
         )
 
-    def free_grid(self) -> list[list[bool]]:
+    def free_grid(self) -> "np.ndarray":
         return free_cell_grid(
             self.device, self.occupied_regions(), self._retired_columns
         )

@@ -16,6 +16,8 @@ PRR list.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..faults.injector import FaultInjector
 from ..multitask.scheduler import (
     CompletedJob,
@@ -64,14 +66,8 @@ def simulate_on_fabric(
         runtime.injector = injector
     # Time accounting uses the runtime's port; keep the rates coherent.
     if runtime.config.port_bytes_per_s != port_bytes_per_s:
-        runtime.config = type(runtime.config)(
-            verify=runtime.config.verify,
-            port_bytes_per_s=port_bytes_per_s,
-            migration_attempts=runtime.config.migration_attempts,
-            auto_defrag=runtime.config.auto_defrag,
-            defrag_threshold=runtime.config.defrag_threshold,
-            max_defrag_passes=runtime.config.max_defrag_passes,
-            escalation_streak=runtime.config.escalation_streak,
+        runtime.config = dataclasses.replace(
+            runtime.config, port_bytes_per_s=port_bytes_per_s
         )
 
     start_admissions = runtime.admissions

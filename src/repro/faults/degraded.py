@@ -43,7 +43,7 @@ from ..multitask.scheduler import (
     CompletedJob,
     PRRState,
     ScheduleResult,
-    _fits,
+    fitting_index,
     record_schedule_observations,
 )
 from ..multitask.tasks import Job
@@ -225,6 +225,7 @@ def _run_degraded(
     spill_bytes = 0.0
     spill_seconds = 0.0
     offline_since: dict[int, float] = {}
+    fitting_states = fitting_index(states)
 
     for job in sorted(jobs, key=lambda j: (j.arrival_seconds, j.job_id)):
         now = job.arrival_seconds
@@ -238,12 +239,7 @@ def _run_degraded(
                 victim.loaded_prm = None
             last_seu_check = now
 
-        fitting_all = [s for s in states if _fits(job, s.geometry)]
-        if not fitting_all:
-            raise InvalidInput(
-                f"no PRR fits task {job.task.name!r} "
-                f"(needs {job.task.prm.lut_ff_pairs} pairs)"
-            )
+        fitting_all = fitting_states(job)
 
         tried: set[int] = set()
         placed: CompletedJob | None = None

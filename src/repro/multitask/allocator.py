@@ -26,6 +26,7 @@ from ..core.placement_search import (
     find_prr,
 )
 from ..devices.fabric import Device, Region
+from ..devices.freespace import fragmentation_index, free_cell_grid
 from ..errors import InfeasiblePlacement
 from ..relocation.relocate import compatible_regions
 
@@ -146,20 +147,6 @@ class PRRAllocator:
     def external_fragmentation(self) -> float:
         """1 - (largest placeable free rectangle / total free cells) over
         PRR-eligible columns."""
-        from ..core.floorplanner import _largest_rectangle
-
-        grid = [
-            [
-                self.device.columns[c].reconfigurable
-                for c in range(self.device.num_columns)
-            ]
-            for _ in range(self.device.rows)
-        ]
-        for region in self.occupied_regions():
-            for row in region.row_span:
-                for col in region.col_span:
-                    grid[row - 1][col - 1] = False
-        free = sum(sum(row) for row in grid)
-        if free == 0:
-            return 0.0
-        return 1.0 - _largest_rectangle(grid) / free
+        return fragmentation_index(
+            free_cell_grid(self.device, self.occupied_regions())
+        )

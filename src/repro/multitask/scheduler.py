@@ -22,13 +22,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..core.bitstream_model import (
     bitstream_size_bytes,
     full_device_bitstream_bytes,
 )
+from ..core.params import PRMRequirements
 from ..core.prr_model import PRRGeometry
 from ..devices.fabric import Device
+from ..errors import InvalidInput
 from ..icap.controllers import record_transfer
 from ..obs import trace as _obs
 from .tasks import Job
@@ -263,13 +266,9 @@ def simulate_pr(
         prrs=len(prrs),
         icap_exclusive=icap_exclusive,
     ):
+        fitting_states = fitting_index(states)
         for job in sorted(jobs, key=lambda j: (j.arrival_seconds, j.job_id)):
-            fitting = [s for s in states if _fits(job, s.geometry)]
-            if not fitting:
-                raise ValueError(
-                    f"no PRR fits task {job.task.name!r} "
-                    f"(needs {job.task.prm.lut_ff_pairs} pairs)"
-                )
+            fitting = fitting_states(job)
             # Affinity first: an already-loaded, earliest-free PRR;
             # otherwise the earliest-free fitting PRR.
             loaded = [s for s in fitting if s.loaded_prm == job.task.name]
@@ -372,5 +371,25 @@ def simulate_full_reconfig(
     return result
 
 
-def _fits(job: Job, geometry: PRRGeometry) -> bool:
-    return geometry.fits(job.task.prm)
+def fitting_index(states: list[PRRState]) -> Callable[[Job], list[PRRState]]:
+    """Per-run lookup of the PRRs whose geometry fits a job's PRM.
+
+    Each distinct PRM's list is computed on first use and reused for
+    every later job of the run.  Raises :class:`InvalidInput` for a job
+    no PRR fits.
+    """
+    cache: dict[PRMRequirements, list[PRRState]] = {}
+
+    def fitting(job: Job) -> list[PRRState]:
+        prm = job.task.prm
+        found = cache.get(prm)
+        if found is None:
+            found = cache[prm] = [s for s in states if s.geometry.fits(prm)]
+        if not found:
+            raise InvalidInput(
+                f"no PRR fits task {job.task.name!r} "
+                f"(needs {prm.lut_ff_pairs} pairs)"
+            )
+        return found
+
+    return fitting

@@ -17,6 +17,7 @@ from .relocate import (
     compatible_regions,
     find_compatible_regions,
     find_compatible_regions_naive,
+    iter_compatible_regions,
     relocate_bitstream,
 )
 
@@ -27,6 +28,7 @@ __all__ = [
     "compatible_regions",
     "find_compatible_regions",
     "find_compatible_regions_naive",
+    "iter_compatible_regions",
     "relocate_bitstream",
     "TaskContext",
     "save_context",

@@ -8,14 +8,15 @@ when the two regions are *compatible*: same height and the same
 column-kind sequence, so every frame lands on an identical resource.
 
 :func:`compatible_regions` checks that; :func:`find_compatible_regions`
-enumerates relocation targets on a device; :func:`relocate_bitstream`
+(or lazily :func:`iter_compatible_regions`) enumerates relocation
+targets on a device; :func:`relocate_bitstream`
 produces the re-addressed bitstream, preserving every frame's payload
 (and therefore the task's logic and captured state).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..bitgen.generator import PartialBitstream, generate_partial_bitstream
 from ..devices.fabric import Device, Region
@@ -28,6 +29,7 @@ __all__ = [
     "compatible_regions",
     "find_compatible_regions",
     "find_compatible_regions_naive",
+    "iter_compatible_regions",
     "relocate_bitstream",
 ]
 
@@ -64,22 +66,42 @@ def find_compatible_regions(
 
     ``exclude`` is a blacklist of fabric regions (occupied PRRs, columns
     a fabric runtime retired after permanent faults): any candidate
-    overlapping one is skipped.
+    overlapping one is skipped.  The list is in ``(row, col)`` order;
+    :func:`iter_compatible_regions` yields the same regions lazily.
+
+    :func:`find_compatible_regions_naive` keeps the original full scan;
+    a differential test pins the two to identical results.
+    """
+    return list(
+        iter_compatible_regions(
+            device, source, include_source=include_source, exclude=exclude
+        )
+    )
+
+
+def iter_compatible_regions(
+    device: Device,
+    source: Region,
+    *,
+    include_source: bool = False,
+    exclude: Sequence[Region] = (),
+) -> Iterator[Region]:
+    """Lazy :func:`find_compatible_regions`: the same regions, in ``(row, col)`` order.
 
     Candidate columns come from the device's
     :class:`~repro.devices.window_index.ColumnWindowIndex` — the same
     window semantics every placement query uses (column-count multiset
     match with no IOB/CLK column), amortized O(1) per query — then the
     exact column-kind *sequence* check relocation physically requires.
-    :func:`find_compatible_regions_naive` keeps the original full scan;
-    a differential test pins the two to identical results.
+    Callers that want only the first few targets (the defrag planner
+    takes the bottom-left one) stop early and skip the overlap checks
+    of every later candidate.
     """
     if not device.is_valid_prr(source):
-        return []
+        return
     source_kinds = device.region_column_kinds(source)
     counts = device.region_column_counts(source)
     exclusions = tuple(exclude)
-    targets = []
     # feasible_starts prunes to count-matching, blocked-free windows;
     # compatibility additionally needs the exact kind sequence.
     start_cols = [
@@ -96,8 +118,7 @@ def find_compatible_regions(
                 continue
             if any(candidate.overlaps(banned) for banned in exclusions):
                 continue
-            targets.append(candidate)
-    return targets
+            yield candidate
 
 
 def find_compatible_regions_naive(

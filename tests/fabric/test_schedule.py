@@ -96,3 +96,26 @@ class TestPermanentFaultSoak:
         assert [
             (e.time_s, e.kind, e.detail) for e in first_rt.events
         ] == [(e.time_s, e.kind, e.detail) for e in second_rt.events]
+
+
+class TestConfig:
+    def test_port_rate_override_keeps_every_other_field(self):
+        # Every field differs from its default, so a field the override
+        # forgot to carry over would fall back to the default and show.
+        custom = FabricConfig(
+            verify="crc",
+            port_bytes_per_s=123e6,
+            migration_attempts=5,
+            auto_defrag=False,
+            defrag_threshold=0.25,
+            max_defrag_passes=7,
+            escalation_streak=4,
+        )
+        defaults = FabricConfig()
+        for field in dataclasses.fields(FabricConfig):
+            assert getattr(custom, field.name) != getattr(defaults, field.name), (
+                field.name
+            )
+        runtime = FabricRuntime(XC5VLX110T, config=custom)
+        simulate_on_fabric(job_stream(), runtime, port_bytes_per_s=250e6)
+        assert runtime.config == dataclasses.replace(custom, port_bytes_per_s=250e6)

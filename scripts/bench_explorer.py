@@ -22,10 +22,12 @@ import json
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.core.explorer import explore, pareto_front  # noqa: E402
 from repro.core.params import PRMRequirements  # noqa: E402
@@ -40,6 +42,10 @@ from repro.devices.family import VIRTEX5  # noqa: E402
 from repro.devices.window_index import ColumnWindowIndex  # noqa: E402
 from repro.synth import synthesize  # noqa: E402
 from repro.workloads import build_fir, build_mips, build_sdram  # noqa: E402
+
+from tests.differential.placement_reference import (  # noqa: E402
+    find_column_window_naive,
+)
 
 BUILDERS = {"fir": build_fir, "mips": build_mips, "sdram": build_sdram}
 DEVICES = {"xc5vlx110t": XC5VLX110T, "xc6vlx75t": XC6VLX75T}
@@ -106,7 +112,7 @@ def time_find_column_window(device, queries, *, repeats: int, loops: int) -> dic
             best = min(best, time.perf_counter() - start)
         return best / (loops * len(queries))
 
-    naive = run(device.find_column_window_naive)
+    naive = run(partial(find_column_window_naive, device))
     # Populate the per-mix cache once, then measure the steady state the
     # explorer actually runs in.
     object.__setattr__(device, "_window_index", ColumnWindowIndex(device.columns))
@@ -115,7 +121,7 @@ def time_find_column_window(device, queries, *, repeats: int, loops: int) -> dic
     indexed = run(device.find_column_window)
     for query in queries:
         assert device.find_column_window(query, start_col=1) == (
-            device.find_column_window_naive(query, start_col=1)
+            find_column_window_naive(device, query, start_col=1)
         )
     return {
         "queries": len(queries),

@@ -18,8 +18,6 @@ determinism        no wall clock, unseeded RNG, or unordered ``set``
                    ``multitask``, ``devices``)
 typed-errors       raises stay inside the :class:`~repro.errors.ReproError`
                    taxonomy; ``except Exception`` never silently swallows
-numpy-gate         ``import numpy`` at module top level only behind the
-                   ``MissingDependency`` soft-import gate
 units              no ``+``/``-``/comparison mixing ``_s``/``_ms``/
                    ``_bytes``/``_words``/``_frames`` quantities without an
                    explicit conversion

@@ -72,8 +72,8 @@ def default_config() -> AnalysisConfig:
 
     Scopes mirror the invariants each rule protects: lock discipline on
     the threaded serving tier, determinism on the model paths the PR 4
-    suite covers, the error taxonomy and numpy gate everywhere except
-    the analyzer itself.
+    suite covers, the error taxonomy everywhere except the analyzer
+    itself.
     """
     return AnalysisConfig(
         rules={
@@ -96,10 +96,6 @@ def default_config() -> AnalysisConfig:
                     # miss + quarantine; it never crosses the module API.
                     "allow_classes": ("CacheCorrupt",),
                 },
-            ),
-            "numpy-gate": RuleOptions(
-                include=("repro/",),
-                exclude=("repro/analysis/",),
             ),
             "units": RuleOptions(include=("repro/",)),
             "obs-hygiene": RuleOptions(

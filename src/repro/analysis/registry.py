@@ -5,7 +5,6 @@ from __future__ import annotations
 from .rules import (
     DeterminismRule,
     LockDisciplineRule,
-    NumpyGateRule,
     ObsHygieneRule,
     TypedErrorsRule,
     UnitsRule,
@@ -20,7 +19,6 @@ ALL_RULES: dict[str, Rule] = {
         LockDisciplineRule(),
         DeterminismRule(),
         TypedErrorsRule(),
-        NumpyGateRule(),
         UnitsRule(),
         ObsHygieneRule(),
     )

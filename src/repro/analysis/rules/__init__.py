@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .determinism import DeterminismRule
 from .lock_discipline import LockDisciplineRule
-from .numpy_gate import NumpyGateRule
 from .obs_hygiene import ObsHygieneRule
 from .typed_errors import TypedErrorsRule
 from .units import UnitsRule
@@ -13,7 +12,6 @@ from .units import UnitsRule
 __all__ = [
     "DeterminismRule",
     "LockDisciplineRule",
-    "NumpyGateRule",
     "ObsHygieneRule",
     "TypedErrorsRule",
     "UnitsRule",

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import zlib
 
-try:  # soft import: numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
-
-from .words import require_numpy
+import numpy as np
 
 __all__ = ["ConfigCrc"]
 
@@ -52,7 +47,6 @@ class ConfigCrc:
         are the ``(register, big-endian word)`` 5-byte units, hashed in
         one ``zlib.crc32`` call.
         """
-        require_numpy()
         be = np.asarray(words, dtype=">u4")
         records = np.empty((be.size, 5), dtype=np.uint8)
         records[:, 0] = register & 0xFF

@@ -31,10 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-try:  # soft import: numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..devices.fabric import Device, Region
 from ..devices.frames import (
@@ -53,7 +50,6 @@ from .words import (
     NOOP,
     Opcode,
     SYNC_WORD,
-    require_numpy,
     type1_header,
     type2_header,
     words_from_bytes,
@@ -98,7 +94,6 @@ def _xorshift_frames(seed: int, fars: "np.ndarray", frame_words: int) -> "np.nda
 
 def frame_payload(seed: int, far_word: int, frame_words: int) -> list[int]:
     """Deterministic pseudo-content for one frame (see :func:`_xorshift_frames`)."""
-    require_numpy()
     fars = np.array([far_word & 0xFFFFFFFF], dtype=np.uint32)
     return _xorshift_frames(seed, fars, frame_words)[0].tolist()
 

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-try:  # soft import: numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..devices.frames import BLOCK_TYPE_BRAM_CONTENT, FrameAddress
 from .crc import ConfigCrc

@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import enum
 
-try:  # soft import: numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from ..errors import MissingDependency, ParseError
+from ..errors import ParseError
 
 __all__ = [
     "DUMMY_WORD",
@@ -106,22 +103,11 @@ class BitstreamParseError(ParseError):
     """The byte stream is not a well-formed partial bitstream."""
 
 
-def require_numpy() -> None:
-    """Raise a typed error when numpy, which bitgen computes with, is missing."""
-    if np is None:  # pragma: no cover - numpy ships with the package
-        raise MissingDependency(
-            "repro.bitgen builds and parses bitstreams with numpy, which is "
-            "not importable in this environment; install it with "
-            "`pip install numpy`"
-        )
-
-
 def words_from_bytes(data: bytes) -> "np.ndarray":
     """Big-endian 32-bit words of *data* as a read-only ``>u4`` array view.
 
     Raises :class:`BitstreamParseError` when *data* is not word aligned.
     """
-    require_numpy()
     if len(data) % 4:
         raise BitstreamParseError(
             f"bitstream length {len(data)} is not 32-bit word aligned"
@@ -131,7 +117,6 @@ def words_from_bytes(data: bytes) -> "np.ndarray":
 
 def words_to_bytes(words) -> bytes:
     """Big-endian byte serialization of 32-bit words (SelectMAP/ICAP order)."""
-    require_numpy()
     return np.asarray(words, dtype=">u4").tobytes()
 
 

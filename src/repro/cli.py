@@ -60,13 +60,6 @@ def _add_explore_args(p: argparse.ArgumentParser) -> None:
         help="anytime search: return the best designs found within this "
         "wall-clock budget (the result is marked degraded if cut short)",
     )
-    p.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "batch"),
-        help="placement backend: scalar Fig. 1 loop or the numpy batch "
-        "engine (identical designs; batch requires numpy)",
-    )
 
 
 def _add_simulate_args(p: argparse.ArgumentParser) -> None:
@@ -437,7 +430,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         mode=args.mode,
         workers=args.workers,
         deadline_s=args.deadline,
-        engine=args.engine,
     )
     print(f"{len(designs)} feasible partitionings on {device.name}")
     if args.deadline is not None:

@@ -10,8 +10,10 @@
 * :mod:`~repro.core.explorer` — PRM→PRR partitioning design-space search.
 * :mod:`~repro.core.fastpath` — occupancy structure, placement caches and
   pruning bounds shared by the search fast paths.
-* :mod:`~repro.core.batch` — numpy columnar engine: whole PRM batches
-  evaluated against the (geometry × device) grid as array ops.
+* :mod:`~repro.core.batch` — numpy columnar scoring: whole PRM batches
+  evaluated against the (geometry × device) grid as array ops, behind
+  :func:`~repro.core.api.batch_evaluate`.  Placement runs on the scalar
+  Fig. 1 search only.
 * :mod:`~repro.core.api` — one-call convenience wrappers (scalar and
   batch).
 """
@@ -34,8 +36,6 @@ from .batch import (
     batch_select,
     batch_window_placement,
     device_columns,
-    find_prr_batch,
-    numpy_available,
     requirement_columns,
 )
 from .calibration import FittedConstants, SizeSample, fit_family_constants
@@ -160,8 +160,6 @@ __all__ = [
     "batch_select",
     "batch_window_placement",
     "device_columns",
-    "find_prr_batch",
-    "numpy_available",
     "requirement_columns",
     "Floorplan",
     "FloorplanError",

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..devices.fabric import Device, Region
 from ..devices.resources import ResourceVector
 from ..errors import InvalidInput
@@ -330,12 +332,8 @@ def batch_evaluate(
     ``(N, device.rows)`` candidate grid via :mod:`repro.core.batch`.
     ``controller_bytes_per_s`` may be one rate for the batch or a
     length-N sequence (one per PRM, as the serving layer supplies).
-
-    Requires numpy; raises :class:`~repro.errors.MissingDependency`
-    otherwise.  Per-member infeasibility never raises — see
-    :class:`BatchCostResult`.
+    Per-member infeasibility never raises — see :class:`BatchCostResult`.
     """
-    np = _batch.require_numpy()
     prms = tuple(prms)
     for prm in prms:
         _validate_prm(prm)

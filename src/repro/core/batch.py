@@ -25,10 +25,8 @@ treats whole bitstreams as frame arrays):
 * :func:`batch_reconfig_time` — bytes → seconds, broadcasting over
   per-request controller/media throughputs.
 * :func:`batch_select` — the full Fig. 1 selection (best feasible
-  ``(size, H)`` — or ``(bytes, H)`` — candidate per PRM) in one pass;
-  :func:`find_prr_batch` wraps it for one (possibly shared) PRM group
-  and returns the same :class:`~repro.core.placement_search.PlacedPRR`
-  the scalar :func:`~repro.core.placement_search.find_prr` would.
+  ``(size, H)`` — or ``(bytes, H)`` — candidate per PRM) in one pass,
+  the array path behind :func:`~repro.core.api.batch_evaluate`.
 
 Equivalence contract: on an empty fabric every function here is
 bit-for-bit equal to its scalar counterpart (asserted by the
@@ -36,9 +34,9 @@ differential suites in ``tests/differential/test_batch_vs_scalar.py``).
 Infeasible inputs are *masked*, not raised — a 10k-PRM batch with three
 impossible members still returns 9 997 answers.
 
-numpy is a hard dependency of this module only; importing it without
-numpy raises a typed :class:`~repro.errors.MissingDependency` with an
-install hint instead of a bare ``ImportError``.
+Placement itself — single groups and occupied fabrics — runs on the
+scalar :func:`~repro.core.placement_search.find_prr`; this module only
+scores N PRMs at once.
 """
 
 from __future__ import annotations
@@ -46,20 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..devices.fabric import Device, Region
-from ..devices.resources import ResourceVector
-from ..errors import InvalidInput, MissingDependency
+import numpy as np
+
+from ..devices.fabric import Device
+from ..errors import InvalidInput
 from ..obs import trace as _obs
 from .params import PRMRequirements
 
-try:  # soft import: everything else in repro.core works without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _raise_missing tests
-    np = None  # type: ignore[assignment]
-
 __all__ = [
-    "numpy_available",
-    "require_numpy",
     "DeviceColumns",
     "device_columns",
     "GeometryGrid",
@@ -70,35 +62,11 @@ __all__ = [
     "batch_reconfig_time",
     "BatchSelection",
     "batch_select",
-    "find_prr_batch",
     "BATCH_SIZE_BUCKETS",
 ]
 
 #: Fixed histogram boundaries for batch-size observations (PRMs per call).
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0)
-
-
-def numpy_available() -> bool:
-    """Whether the batch engine can run in this interpreter."""
-    return np is not None
-
-
-def require_numpy():
-    """Return the ``numpy`` module or raise a typed error.
-
-    Raises :class:`~repro.errors.MissingDependency` (``ReproError`` *and*
-    ``ImportError``) so the CLI/serving layers report a one-line
-    ``missing_dependency:`` message instead of a traceback.
-    """
-    if np is None:
-        raise MissingDependency(
-            "the batch cost-model engine requires numpy, which is not "
-            "importable in this environment; install it with "
-            "`pip install numpy` (or `pip install repro`, which depends "
-            "on it) or use the scalar API instead",
-            dependency="numpy",
-        )
-    return np
 
 
 def _record_batch_metrics(n_prms: int, n_cells: int, infeasible: int) -> None:
@@ -136,7 +104,7 @@ class DeviceColumns:
     (likewise ``dsp``/``bram``, and ``blocked`` for IOB/CLK columns).
     They are the exact sequences the scalar
     :class:`~repro.devices.window_index.ColumnWindowIndex` computed, so
-    the two engines can never disagree about the fabric.
+    batch and scalar answers can never disagree about the fabric.
     """
 
     device_name: str
@@ -165,7 +133,6 @@ class DeviceColumns:
     @classmethod
     def from_device(cls, device: Device) -> "DeviceColumns":
         """Lift a device's window-index prefix sums into numpy columns."""
-        require_numpy()
         prefixes = device.window_index.prefix_sums()
         family = device.family
         return cls(
@@ -276,7 +243,6 @@ def batch_prr_geometry(
     :func:`~repro.core.prr_model.prr_geometry_for_rows` in the Fig. 1
     H-loop for each PRM.
     """
-    require_numpy()
     cols = device if isinstance(device, DeviceColumns) else device_columns(device)
     pairs = np.asarray(lut_ff_pairs, dtype=np.int64)
     dsp_req = np.asarray(dsps, dtype=np.int64)
@@ -353,7 +319,6 @@ def batch_window_placement(
     Python loop.  ``mask`` limits the work to cells that are
     geometry-feasible.
     """
-    require_numpy()
     cols = device if isinstance(device, DeviceColumns) else device_columns(device)
     w_clb = np.asarray(w_clb, dtype=np.int64)
     w_dsp = np.asarray(w_dsp, dtype=np.int64)
@@ -414,7 +379,6 @@ def batch_bitstream_bytes(
     including the pipeline-flush ``+ 1`` frames and the no-BRAM special
     case of eq. (23) — as five array expressions.
     """
-    require_numpy()
     cols = device if isinstance(device, DeviceColumns) else device_columns(device)
     rows = np.asarray(rows, dtype=np.int64)
     w_clb = np.asarray(w_clb, dtype=np.int64)
@@ -450,7 +414,6 @@ def batch_reconfig_time(
     or per-element arrays (a serving batch can carry one rate per
     request).
     """
-    require_numpy()
     from .reconfig_model import ICAP_VIRTEX5_BYTES_PER_S
 
     sizes = np.asarray(bitstream_bytes, dtype=np.float64)
@@ -527,7 +490,6 @@ def batch_select(
     applies on an empty fabric, where the bottom-most row is always 1
     and the left-most start column is unique per H.
     """
-    require_numpy()
     if objective not in _OBJECTIVES:
         raise InvalidInput(
             f"unknown objective {objective!r}; valid: {', '.join(_OBJECTIVES)}"
@@ -579,84 +541,3 @@ def batch_select(
         )
     return selection
 
-
-def find_prr_batch(
-    device: Device,
-    requirements: PRMRequirements | Sequence[PRMRequirements],
-    *,
-    objective: str = "size",
-):
-    """Vectorized :func:`~repro.core.placement_search.find_prr` on an
-    empty fabric.
-
-    Accepts one PRM or a shared-PRR group (the Section III.B
-    elementwise-max merge becomes a per-column ``max`` over the group's
-    grids).  Scores all candidate H values in one array call and returns
-    the identical :class:`~repro.core.placement_search.PlacedPRR` the
-    scalar Fig. 1 loop selects; raises the same
-    :class:`~repro.core.placement_search.PlacementNotFoundError` when no
-    feasible placement exists.  Occupied fabrics (non-empty
-    ``forbidden``) stay on the scalar path — the explorer only routes
-    empty-fabric searches here.
-    """
-    require_numpy()
-    from .placement_search import PlacedPRR, PlacementNotFoundError
-    from .prr_model import PRRGeometry
-
-    if isinstance(requirements, PRMRequirements):
-        group: Sequence[PRMRequirements] = (requirements,)
-    else:
-        group = tuple(requirements)
-        if not group:
-            raise InvalidInput("at least one PRM requirement is needed")
-    cols = device_columns(device)
-    pairs, dsp_req, bram_req = requirement_columns(group)
-    grid = batch_prr_geometry(cols, pairs, dsp_req, bram_req)
-    # Section III.B shared-PRR merge: the largest W_CLB/W_DSP/W_BRAM
-    # across members dictates the column counts; a member the eq. (4)
-    # rule rejects at some H rejects the merged geometry at that H too.
-    # A zero-demand member (width 0 at every H) only trips the
-    # one-column floor, which applies to the *merged* width below — the
-    # scalar merge in ``prr_geometry_for_rows`` forgives it the same way.
-    member_ok = grid.feasible | (grid.width == 0)
-    feasible = member_ok.all(axis=0)  # (R,)
-    w_clb = grid.w_clb.max(axis=0)
-    w_dsp = grid.w_dsp.max(axis=0)
-    w_bram = grid.w_bram.max(axis=0)
-    width = w_clb + w_dsp + w_bram
-    feasible = feasible & (width >= 1)
-    has_window, first_col = batch_window_placement(
-        cols, w_clb, w_dsp, w_bram, mask=feasible
-    )
-    candidate = feasible & has_window
-    if not candidate.any():
-        names = "+".join(prm.name for prm in group)
-        raise PlacementNotFoundError(
-            f"no feasible PRR on {device.name} for {names} "
-            f"(objective={objective})"
-        )
-    size = grid.heights * width
-    if objective == "size":
-        primary = size
-    elif objective == "bitstream":
-        primary = batch_bitstream_bytes(cols, grid.heights, w_clb, w_dsp, w_bram)
-    else:
-        raise InvalidInput(
-            f"unknown objective {objective!r}; valid: {', '.join(_OBJECTIVES)}"
-        )
-    masked = np.where(candidate, primary, np.iinfo(np.int64).max)
-    pick = int(masked.argmin())
-    geometry = PRRGeometry(
-        family=device.family,
-        rows=int(grid.heights[pick]),
-        columns=ResourceVector(
-            clb=int(w_clb[pick]), dsp=int(w_dsp[pick]), bram=int(w_bram[pick])
-        ),
-    )
-    region = Region(
-        row=1,
-        col=int(first_col[pick]),
-        height=geometry.rows,
-        width=geometry.width,
-    )
-    return PlacedPRR(device=device, geometry=geometry, region=region)

@@ -31,13 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-try:  # soft import: the fit is the only numpy consumer in this module
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the batch gate tests
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..devices.resources import ResourceVector
-from ..errors import MissingDependency
 
 __all__ = ["SizeSample", "FittedConstants", "fit_family_constants"]
 
@@ -103,12 +99,6 @@ def fit_family_constants(
     Requires geometrically diverse samples (the design matrix must have
     full column rank); raises :class:`ValueError` otherwise.
     """
-    if np is None:  # pragma: no cover - numpy ships with the package
-        raise MissingDependency(
-            "fit_family_constants solves a least-squares system with "
-            "numpy, which is not importable in this environment",
-            dependency="numpy",
-        )
     if len(samples) < 6:
         raise ValueError("need at least 6 samples to identify 6 coefficients")
     if frame_words <= 0 or bytes_per_word <= 0:

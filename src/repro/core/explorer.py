@@ -98,11 +98,6 @@ ExploreMode = Literal["auto", "exhaustive", "pruned", "beam"]
 
 _EXPLORE_MODES = ("auto", "exhaustive", "pruned", "beam")
 
-#: Placement engines the explorer can run on.  ``"batch"`` routes the
-#: empty-fabric Fig. 1 searches through the numpy columnar engine
-#: (:mod:`repro.core.batch`); results are identical to ``"scalar"``.
-_ENGINES = ("scalar", "batch")
-
 
 def _record_search_metrics(
     *,
@@ -289,7 +284,6 @@ def evaluate_partition(
     *,
     controller_bytes_per_s: float = ICAP_VIRTEX5_BYTES_PER_S,
     placement_cache: PlacementCache | None = None,
-    engine: str = "scalar",
 ) -> PartitioningDesign | None:
     """Place one PRR per group (non-overlapping); ``None`` if infeasible.
 
@@ -297,10 +291,7 @@ def evaluate_partition(
     get first pick of contiguous windows, then re-checked pairwise.  An
     optional :class:`~repro.core.fastpath.PlacementCache` memoizes the
     per-group Fig. 1 searches across repeated calls (the explorer shares
-    one cache over every partition it evaluates); the cache's own engine
-    wins when one is supplied, otherwise ``engine="batch"`` answers the
-    empty-fabric first placement with one vectorized
-    :func:`~repro.core.batch.find_prr_batch` call.
+    one cache over every partition it evaluates).
     """
     ordered = sorted(
         (list(group) for group in groups),
@@ -314,10 +305,6 @@ def evaluate_partition(
                 placement = placement_cache.find_prr(
                     device, group, forbidden=occupied
                 )
-            elif engine == "batch" and len(occupied) == 0:
-                from .batch import find_prr_batch
-
-                placement = find_prr_batch(device, group)
             else:
                 placement = find_prr(device, group, forbidden=occupied)
         except PlacementNotFoundError:
@@ -342,7 +329,6 @@ def explore(
     workers: int | None = None,
     deadline_s: float | None = None,
     max_evaluations: int | None = None,
-    engine: str = "scalar",
 ) -> ExploreResult:
     """Search PRM-to-PRR set partitions; return feasible designs.
 
@@ -378,26 +364,11 @@ def explore(
 
     ``workers`` only applies to the exhaustive path; the other modes are
     sequential (their search order is the point).
-
-    ``engine`` selects the placement backend: ``"scalar"`` (default) is
-    the per-candidate Fig. 1 loop, ``"batch"`` answers every
-    empty-fabric group search with one numpy array call
-    (:mod:`repro.core.batch`).  The two produce identical designs and
-    Pareto fronts; ``"batch"`` raises
-    :class:`~repro.errors.MissingDependency` when numpy is absent.
     """
     if mode not in _EXPLORE_MODES:
         raise InvalidInput(
             f"unknown explore mode {mode!r}; valid: {', '.join(_EXPLORE_MODES)}"
         )
-    if engine not in _ENGINES:
-        raise InvalidInput(
-            f"unknown placement engine {engine!r}; valid: {', '.join(_ENGINES)}"
-        )
-    if engine == "batch":
-        from .batch import require_numpy
-
-        require_numpy()
     n = len(prms)
     budget = (
         Budget(deadline_s=deadline_s, max_evaluations=max_evaluations)
@@ -406,9 +377,7 @@ def explore(
     )
     if mode == "auto" and budget is None:
         mode = "exhaustive" if n <= MAX_EXHAUSTIVE_PRMS else "beam"
-    with _obs.trace_span(
-        "explore", mode=mode, prms=n, device=device.name, engine=engine
-    ) as span:
+    with _obs.trace_span("explore", mode=mode, prms=n, device=device.name) as span:
         window_before = (
             device.window_index.stats() if _obs.enabled else None
         )
@@ -421,7 +390,6 @@ def explore(
                 max_prrs=max_prrs,
                 beam_width=beam_width,
                 workers=workers,
-                engine=engine,
             )
             result = ExploreResult(designs, mode=mode, status="exhausted")
         else:
@@ -434,7 +402,6 @@ def explore(
                 max_prrs=max_prrs,
                 beam_width=beam_width,
                 workers=workers,
-                engine=engine,
             )
         if window_before is not None:
             registry = _obs.metrics()
@@ -461,7 +428,6 @@ def _explore_anytime(
     max_prrs: int | None,
     beam_width: int,
     workers: int | None,
-    engine: str = "scalar",
 ) -> ExploreResult:
     """Budgeted search: incumbent first, then the (escalated) strategy.
 
@@ -482,7 +448,6 @@ def _explore_anytime(
             device,
             [list(prms)],
             controller_bytes_per_s=controller_bytes_per_s,
-            engine=engine,
         )
         probe_s = time.perf_counter() - probe_start
         budget.charge()
@@ -495,7 +460,6 @@ def _explore_anytime(
                 device,
                 [[prm] for prm in prms],
                 controller_bytes_per_s=controller_bytes_per_s,
-                engine=engine,
             )
             budget.charge()
     if mode == "auto":
@@ -511,7 +475,6 @@ def _explore_anytime(
             beam_width=beam_width,
             workers=workers,
             budget=budget,
-            engine=engine,
         )
     if incumbent is not None and not any(
         _same_grouping(d, incumbent) for d in designs
@@ -586,7 +549,6 @@ def _explore_dispatch(
     beam_width: int,
     workers: int | None,
     budget: Budget | None = None,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
     n = len(prms)
     if mode == "exhaustive":
@@ -604,7 +566,6 @@ def _explore_dispatch(
                 max_prrs=max_prrs,
                 workers=workers,
                 budget=budget,
-                engine=engine,
             )
         return _explore_exhaustive(
             device,
@@ -612,7 +573,6 @@ def _explore_dispatch(
             controller_bytes_per_s=controller_bytes_per_s,
             max_prrs=max_prrs,
             budget=budget,
-            engine=engine,
         )
     if mode == "pruned":
         return _explore_pruned(
@@ -621,7 +581,6 @@ def _explore_dispatch(
             controller_bytes_per_s=controller_bytes_per_s,
             max_prrs=max_prrs,
             budget=budget,
-            engine=engine,
         )
     if mode == "beam":
         return _explore_beam(
@@ -631,7 +590,6 @@ def _explore_dispatch(
             max_prrs=max_prrs,
             beam_width=beam_width,
             budget=budget,
-            engine=engine,
         )
     raise InvalidInput(f"unknown explore mode {mode!r}")
 
@@ -643,9 +601,8 @@ def _explore_exhaustive(
     controller_bytes_per_s: float,
     max_prrs: int | None,
     budget: Budget | None = None,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
-    cache = PlacementCache(engine=engine)
+    cache = PlacementCache()
     designs: list[PartitioningDesign] = []
     evaluated = 0
     for partition in iter_set_partitions(range(len(prms))):
@@ -685,10 +642,9 @@ def _evaluate_partition_chunk(
     prms: Sequence[PRMRequirements],
     partitions: Sequence[Sequence[Sequence[int]]],
     controller_bytes_per_s: float,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
     """Worker entry point: evaluate a chunk of index partitions."""
-    cache = PlacementCache(engine=engine)
+    cache = PlacementCache()
     designs: list[PartitioningDesign] = []
     for partition in partitions:
         groups = [[prms[i] for i in group] for group in partition]
@@ -736,7 +692,6 @@ def _explore_parallel(
     max_prrs: int | None,
     workers: int,
     budget: Budget | None = None,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
     """Chunked evaluation on a process pool, with worker-crash recovery.
 
@@ -766,10 +721,6 @@ def _explore_parallel(
         for i in range(0, len(partitions), chunk_size)
     ]
     chunk_fn = _CHUNK_EVALUATOR
-    # Swapped-in evaluators (fault injection, soak tests) keep the
-    # historical 4-positional signature, so the engine travels as an
-    # extra argument only when it differs from the scalar default.
-    extra_args = () if engine == "scalar" else (engine,)
     policy = RetryPolicy(
         max_attempts=3, backoff_base_s=0.05, backoff_factor=2.0, backoff_cap_s=0.5
     )
@@ -795,7 +746,6 @@ def _explore_parallel(
                     list(prms),
                     chunks[index],
                     controller_bytes_per_s,
-                    *extra_args,
                 )
                 for index in pending
             }
@@ -833,7 +783,6 @@ def _explore_parallel(
                 list(prms),
                 chunks[index],
                 controller_bytes_per_s,
-                *extra_args,
             )
             if budget is not None:
                 budget.charge(len(chunks[index]))
@@ -933,7 +882,6 @@ def _explore_pruned(
     controller_bytes_per_s: float,
     max_prrs: int | None,
     budget: Budget | None = None,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
     """Branch-and-bound enumeration with an exact Pareto front.
 
@@ -948,7 +896,7 @@ def _explore_pruned(
     ones, which keeps a cut-off front useful.
     """
     n = len(prms)
-    cache = PlacementCache(engine=engine)
+    cache = PlacementCache()
     designs: list[PartitioningDesign] = []
     archived: list[tuple[int, int, float]] = []
     groups: list[list[int]] = []
@@ -1026,7 +974,6 @@ def _explore_beam(
     max_prrs: int | None,
     beam_width: int,
     budget: Budget | None = None,
-    engine: str = "scalar",
 ) -> list[PartitioningDesign]:
     """Bounded-width beam search over partial partitions.
 
@@ -1044,7 +991,7 @@ def _explore_beam(
     n = len(prms)
     if n == 0:
         return []
-    cache = PlacementCache(engine=engine)
+    cache = PlacementCache()
     evaluated = 0
     pruned = 0
     cut = False

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ..devices.fabric import Device, Region
-from ..errors import InvalidInput
 from .bitstream_model import cached_bitstream_bytes
 from .params import PRMRequirements
 from .prr_model import InfeasibleGeometryError, prr_geometry_for_rows
@@ -119,32 +118,20 @@ class PlacementCache:
     """Memoized ``find_prr`` results for one explorer run.
 
     The cache stores either the found :class:`~repro.core.
-    placement_search.PlacedPRR` or the raised
+    placement_search.PlacedPRR` or the message of the raised
     :class:`~repro.core.placement_search.PlacementNotFoundError`, so
     infeasible groups — the common case deep in a partition enumeration —
-    are as cheap to re-ask as feasible ones.
-
-    ``engine`` selects how misses are computed: ``"scalar"`` (default)
-    runs the Fig. 1 loop in :func:`~repro.core.placement_search.
-    find_prr`; ``"batch"`` answers empty-fabric misses — the bulk of an
-    explorer run, since the first-placed group of every partition sees
-    an empty fabric — with one vectorized
-    :func:`~repro.core.batch.find_prr_batch` call.  Occupied-fabric
-    misses always use the scalar path, so results are identical either
-    way (the differential suite asserts it).
+    are as cheap to re-ask as feasible ones.  Each infeasible hit raises
+    a fresh error: re-raising one cached instance would grow its
+    traceback by a frame pair per hit and pin those frames.
     """
 
-    __slots__ = ("_entries", "hits", "misses", "engine")
+    __slots__ = ("_entries", "hits", "misses")
 
-    def __init__(self, engine: str = "scalar") -> None:
-        if engine not in ("scalar", "batch"):
-            raise InvalidInput(
-                f"unknown placement engine {engine!r}; valid: scalar, batch"
-            )
+    def __init__(self) -> None:
         self._entries: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
-        self.engine = engine
 
     def find_prr(
         self,
@@ -161,21 +148,16 @@ class PlacementCache:
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-            if isinstance(cached, PlacementNotFoundError):
-                raise cached
+            if isinstance(cached, str):
+                raise PlacementNotFoundError(cached)
             return cached
         self.misses += 1
         try:
-            if self.engine == "batch" and len(forbidden) == 0:
-                from .batch import find_prr_batch
-
-                placed = find_prr_batch(device, list(group), objective=objective)
-            else:
-                placed = find_prr(
-                    device, list(group), objective=objective, forbidden=forbidden
-                )
+            placed = find_prr(
+                device, list(group), objective=objective, forbidden=forbidden
+            )
         except PlacementNotFoundError as error:
-            self._entries[key] = error
+            self._entries[key] = error.message
             raise
         self._entries[key] = placed
         return placed

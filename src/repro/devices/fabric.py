@@ -274,34 +274,11 @@ class Device:
         Returns the 1-based start column, or ``None``.
 
         Served by :attr:`window_index` — O(log n) after the first query
-        for a given mix.  :meth:`find_column_window_naive` keeps the
-        original O(columns x width) scan for equivalence tests and
-        benchmarks.
+        for a given mix.
         """
         if requirement.total == 0:
             raise ValueError("requirement must include at least one column")
         return self.window_index.find(requirement, start_col)
-
-    def find_column_window_naive(
-        self, requirement: ResourceVector, *, start_col: int = 1
-    ) -> int | None:
-        """Reference implementation of :meth:`find_column_window`.
-
-        Slices and recounts every candidate window; behaviorally identical
-        to the indexed path (asserted by tests), retained as the baseline
-        the perf benchmark measures the index against.
-        """
-        width = requirement.total
-        if width == 0:
-            raise ValueError("requirement must include at least one column")
-        for col, kinds in self.iter_windows(width):
-            if col < start_col:
-                continue
-            if not all(kind.reconfigurable for kind in kinds):
-                continue
-            if column_kind_counts(kinds) == requirement:
-                return col
-        return None
 
     # -- summary ------------------------------------------------------------
 

@@ -26,12 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-try:  # soft import: numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from ..errors import MissingDependency
 from .fabric import Device, Region
 
 __all__ = [
@@ -46,12 +42,6 @@ def _column_mask(device: Device) -> "np.ndarray":
     """Read-only mask of the device's reconfigurable columns (cached)."""
     mask = device.__dict__.get("_free_column_mask")
     if mask is None:
-        if np is None:  # pragma: no cover - numpy ships with the package
-            raise MissingDependency(
-                "repro free-space accounting uses numpy, which is not "
-                "importable in this environment; install it with "
-                "`pip install numpy`"
-            )
         mask = np.array([kind.reconfigurable for kind in device.columns], dtype=bool)
         mask.flags.writeable = False
         object.__setattr__(device, "_free_column_mask", mask)

@@ -20,9 +20,11 @@ Overloaded            a bounded queue shed the request; retry       6
                       after ``retry_after_s``
 BackendBroken         a worker pool / subprocess backend died and   7
                       recovery was exhausted
-MissingDependency     an optional/runtime dependency (numpy for     8
-                      the batch engine) is not importable
 ====================  ===========================================  =====
+
+Exit code 8 is retired: it belonged to a missing-dependency error, and
+every dependency is now a hard requirement.  The other codes keep their
+numbers.
 
 Back-compat is part of the contract: the taxonomy *multiply inherits*
 from the stdlib types the library used to raise (``InvalidInput`` is a
@@ -47,7 +49,6 @@ __all__ = [
     "DeadlineExceeded",
     "Overloaded",
     "BackendBroken",
-    "MissingDependency",
 ]
 
 
@@ -202,24 +203,3 @@ class BackendBroken(ReproError, RuntimeError):
         super().__init__(message, cause=cause, **details)
         self.cause = cause
 
-
-class MissingDependency(ReproError, ImportError):
-    """A dependency the requested feature needs could not be imported.
-
-    Raised instead of a bare ``ImportError`` so callers get the one-line
-    ``code: message`` treatment (and an install hint) rather than a
-    traceback.  ``dependency`` names the missing distribution.
-    """
-
-    code = "missing_dependency"
-    exit_code = 8
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        dependency: str | None = None,
-        **details: Any,
-    ) -> None:
-        super().__init__(message, dependency=dependency, **details)
-        self.dependency = dependency

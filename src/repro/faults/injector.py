@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-try:  # soft import: only the generator construction needs numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from ..errors import InvalidInput, MissingDependency
+from ..errors import InvalidInput
 from .models import (
     ControllerStallFault,
     FaultEvent,
@@ -65,12 +62,6 @@ class FaultInjector:
     ) -> None:
         if (seed is None) == (rng is None):
             raise InvalidInput("provide exactly one of seed= or rng=")
-        if rng is None and np is None:  # pragma: no cover
-            raise MissingDependency(
-                "FaultInjector draws from a numpy Generator, and numpy is "
-                "not importable in this environment",
-                dependency="numpy",
-            )
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.transfer = transfer
         self.fetch = fetch

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # soft import: only the arrival sampling needs numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.params import PRMRequirements
-from ..errors import MissingDependency
 
 __all__ = ["HwTask", "Job", "make_task_set", "poisson_arrivals"]
 
@@ -56,12 +52,6 @@ def poisson_arrivals(
     """Deterministic Poisson arrival times over ``[0, horizon_s)``."""
     if rate_per_s <= 0 or horizon_s <= 0:
         raise ValueError("rate and horizon must be positive")
-    if np is None:  # pragma: no cover
-        raise MissingDependency(
-            "poisson_arrivals samples with a numpy Generator, and numpy "
-            "is not importable in this environment",
-            dependency="numpy",
-        )
     rng = np.random.default_rng(seed)
     times: list[float] = []
     t = 0.0

@@ -16,7 +16,6 @@ from .relocate import (
     RelocationError,
     compatible_regions,
     find_compatible_regions,
-    find_compatible_regions_naive,
     iter_compatible_regions,
     relocate_bitstream,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "RelocationError",
     "compatible_regions",
     "find_compatible_regions",
-    "find_compatible_regions_naive",
     "iter_compatible_regions",
     "relocate_bitstream",
     "TaskContext",

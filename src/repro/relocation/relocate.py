@@ -28,7 +28,6 @@ __all__ = [
     "RelocationError",
     "compatible_regions",
     "find_compatible_regions",
-    "find_compatible_regions_naive",
     "iter_compatible_regions",
     "relocate_bitstream",
 ]
@@ -68,9 +67,6 @@ def find_compatible_regions(
     a fabric runtime retired after permanent faults): any candidate
     overlapping one is skipped.  The list is in ``(row, col)`` order;
     :func:`iter_compatible_regions` yields the same regions lazily.
-
-    :func:`find_compatible_regions_naive` keeps the original full scan;
-    a differential test pins the two to identical results.
     """
     return list(
         iter_compatible_regions(
@@ -119,35 +115,6 @@ def iter_compatible_regions(
             if any(candidate.overlaps(banned) for banned in exclusions):
                 continue
             yield candidate
-
-
-def find_compatible_regions_naive(
-    device: Device,
-    source: Region,
-    *,
-    include_source: bool = False,
-    exclude: Sequence[Region] = (),
-) -> list[Region]:
-    """Reference implementation of :func:`find_compatible_regions`.
-
-    Scans every (row, col) offset and re-checks compatibility from
-    scratch.  Behaviorally identical to the indexed path (asserted by
-    the differential test); kept as the baseline.
-    """
-    exclusions = tuple(exclude)
-    targets = []
-    for row in range(1, device.rows - source.height + 2):
-        for col in range(1, device.num_columns - source.width + 2):
-            candidate = Region(
-                row=row, col=col, height=source.height, width=source.width
-            )
-            if candidate == source and not include_source:
-                continue
-            if any(candidate.overlaps(banned) for banned in exclusions):
-                continue
-            if compatible_regions(device, source, candidate):
-                targets.append(candidate)
-    return targets
 
 
 def relocate_bitstream(

@@ -22,15 +22,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-try:  # soft import: only upset injection draws random bits
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..bitgen.generator import PartialBitstream
 from ..devices.fabric import Region
 from ..devices.frames import BLOCK_TYPE_BRAM_CONTENT, BLOCK_TYPE_CONFIG
-from ..errors import MissingDependency
 from .memory import ConfigMemory
 
 __all__ = ["golden_signatures", "inject_upsets", "ScrubReport", "Scrubber"]
@@ -74,13 +70,6 @@ def inject_upsets(
     if (seed is None) == (rng is None):
         raise ValueError("provide exactly one of seed= or rng=")
     if rng is None:
-        if np is None:  # pragma: no cover
-            raise MissingDependency(
-                "inject_upsets draws bit positions with a numpy "
-                "Generator, and numpy is not importable in this "
-                "environment",
-                dependency="numpy",
-            )
         rng = np.random.default_rng(seed)
     frames = [
         far

@@ -23,7 +23,7 @@ embed them:
   deadline and controller rate, results are bit-identical to the scalar
   path, and any batch-path failure falls back to per-request scalar
   evaluation so the error surface (typed errors included) is unchanged.
-  Set ``max_batch=1`` (or run without numpy) to disable.
+  Set ``max_batch=1`` to disable.
 
 Worker threads only ever *call into* the library; process-level crash
 recovery for parallel exploration lives in
@@ -367,11 +367,7 @@ class CostModelService:
         could not join the batch, and whether a ``_STOP`` sentinel was
         consumed while draining.
         """
-        if (
-            self.config.max_batch < 2
-            or not isinstance(job.request, EvaluateRequest)
-            or not _batch_engine.numpy_available()
-        ):
+        if self.config.max_batch < 2 or not isinstance(job.request, EvaluateRequest):
             return [job], [], False
         batch = [job]
         leftovers: list[_Job] = []

@@ -56,7 +56,6 @@ _ERROR_CLASSES = {
         _errors.DeadlineExceeded,
         _errors.Overloaded,
         _errors.BackendBroken,
-        _errors.MissingDependency,
     )
 }
 

@@ -31,7 +31,7 @@ def test_list_rules_names_all_six(capsys):
     out = capsys.readouterr().out
     for name in ALL_RULES:
         assert name in out
-    assert len(ALL_RULES) == 6
+    assert len(ALL_RULES) == 5
 
 
 def test_fail_on_new_is_the_gate(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_determinism_accepts_monotonic_seeded_and_sorted(run_rule):
         """
         import time
         import random
-        import numpy as np  # analysis: allow(numpy-gate): fixture
+        import numpy as np
 
         def budget():
             return time.monotonic()
@@ -243,40 +243,6 @@ def test_typed_errors_allow_classes_option(run_rule):
         )
         == []
     )
-
-
-# -- numpy-gate --------------------------------------------------------------
-
-
-def test_numpy_gate_fires_on_naked_top_level_import(run_rule):
-    findings = run_rule(
-        "numpy-gate",
-        """
-        import numpy as np
-
-        def f(xs):
-            return np.asarray(xs)
-        """,
-    )
-    assert len(findings) == 1
-    assert "MissingDependency gate" in findings[0].message
-
-
-def test_numpy_gate_accepts_soft_import_and_lazy_import(run_rule):
-    findings = run_rule(
-        "numpy-gate",
-        """
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-
-        def f(xs):
-            import numpy
-            return numpy.asarray(xs)
-        """,
-    )
-    assert findings == []
 
 
 # -- units -------------------------------------------------------------------

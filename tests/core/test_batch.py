@@ -1,15 +1,14 @@
 """Unit and edge-case tests for the numpy columnar batch engine."""
 
-import numpy as np
 import pytest
 
 from repro.core import batch
 from repro.core.api import batch_evaluate, evaluate_prm
 from repro.core.params import PRMRequirements
-from repro.core.placement_search import PlacementNotFoundError, find_prr
+from repro.core.placement_search import PlacementNotFoundError
 from repro.devices import synthetic_device
 from repro.devices.catalog import DEVICES, get_device
-from repro.errors import InvalidInput, MissingDependency, ReproError
+from repro.errors import InvalidInput
 from repro.obs import trace as obs
 
 
@@ -18,31 +17,6 @@ def prm(name="p", pairs=1000, dsps=0, brams=0):
         name=name, lut_ff_pairs=pairs, luts=pairs, ffs=pairs // 2,
         dsps=dsps, brams=brams,
     )
-
-
-class TestNumpyGate:
-    def test_numpy_available_here(self):
-        assert batch.numpy_available()
-        assert batch.require_numpy() is np
-
-    def test_missing_numpy_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(batch, "np", None)
-        assert not batch.numpy_available()
-        with pytest.raises(MissingDependency) as excinfo:
-            batch.require_numpy()
-        # Typed (ReproError) and back-compat (ImportError) at once.
-        assert isinstance(excinfo.value, ReproError)
-        assert isinstance(excinfo.value, ImportError)
-        assert excinfo.value.code == "missing_dependency"
-        assert excinfo.value.dependency == "numpy"
-        assert "numpy" in str(excinfo.value)
-
-    def test_explore_engine_batch_requires_numpy(self, monkeypatch):
-        from repro.core.explorer import explore
-
-        monkeypatch.setattr(batch, "np", None)
-        with pytest.raises(MissingDependency):
-            explore(get_device("xc5vlx110t"), [prm()], engine="batch")
 
 
 class TestDeviceColumns:
@@ -203,24 +177,6 @@ class TestBatchSelect:
         sel = batch.batch_select(device, [], [], [])
         assert len(sel) == 0
         assert sel.n_feasible == 0
-
-
-class TestFindPrrBatch:
-    def test_matches_scalar_on_groups(self):
-        device = get_device("xc6vlx75t")
-        group = [prm("a", 900), prm("b", 2500, brams=2)]
-        scalar = find_prr(device, group)
-        vector = batch.find_prr_batch(device, group)
-        assert vector == scalar
-
-    def test_raises_scalar_error_type(self):
-        device = synthetic_device(rows=1, clb_runs=(2,))
-        with pytest.raises(PlacementNotFoundError):
-            batch.find_prr_batch(device, prm("huge", 10**6))
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(InvalidInput):
-            batch.find_prr_batch(get_device("xc5vlx110t"), [])
 
 
 class TestBatchEvaluateApi:

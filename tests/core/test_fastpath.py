@@ -29,6 +29,7 @@ from repro.devices.fabric import Region
 from repro.devices.window_index import ColumnWindowIndex
 
 from tests.conftest import paper_requirements
+from tests.differential.placement_reference import find_column_window_naive
 
 
 def random_synthetic_devices(seed=7, count=8):
@@ -66,7 +67,7 @@ class TestColumnWindowIndex:
                     req = ResourceVector(clb=clb, dsp=dsp, bram=bram)
                     for start in (1, 2, device.num_columns // 2, device.num_columns):
                         assert device.find_column_window(req, start_col=start) == (
-                            device.find_column_window_naive(req, start_col=start)
+                            find_column_window_naive(device, req, start_col=start)
                         ), (device.name, req, start)
 
     def test_matches_naive_on_random_layouts(self):
@@ -80,7 +81,7 @@ class TestColumnWindowIndex:
                     continue
                 start = rng.randint(1, device.num_columns)
                 assert device.find_column_window(req, start_col=start) == (
-                    device.find_column_window_naive(req, start_col=start)
+                    find_column_window_naive(device, req, start_col=start)
                 )
 
     def test_feasible_starts_sorted_and_exact(self):
@@ -109,7 +110,7 @@ class TestColumnWindowIndex:
         with pytest.raises(ValueError, match="at least one column"):
             device.find_column_window(ResourceVector())
         with pytest.raises(ValueError, match="at least one column"):
-            device.find_column_window_naive(ResourceVector())
+            find_column_window_naive(device, ResourceVector())
 
     def test_window_counts_prefix_sums(self):
         device = DEVICES["xc6vlx75t"]
@@ -140,7 +141,7 @@ class TestColumnWindowIndex:
         device = DEVICES["xc5vlx50t"]
         req = ResourceVector(clb=device.num_columns + 5)
         assert device.find_column_window(req) is None
-        assert device.find_column_window_naive(req) is None
+        assert find_column_window_naive(device, req) is None
 
 
 class TestRegionOccupancy:
@@ -251,6 +252,23 @@ class TestPlacementCache:
             with pytest.raises(PlacementNotFoundError, match="monster"):
                 cache.find_prr(device, [monster], forbidden=RegionOccupancy())
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_infeasible_hits_pin_no_growing_traceback(self):
+        device = DEVICES["xc5vlx110t"]
+        cache = PlacementCache()
+        from repro.core.params import PRMRequirements
+
+        monster = PRMRequirements("monster", 10**6, 10**6, 0)
+        errors, depths = [], []
+        for _ in range(6):
+            with pytest.raises(PlacementNotFoundError, match="monster") as info:
+                cache.find_prr(device, [monster], forbidden=RegionOccupancy())
+            errors.append(info.value)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert cache.hits == 5 and cache.misses == 1
+        assert len(set(depths[1:])) == 1, f"traceback depth grows across hits: {depths}"
+        assert len({id(e) for e in errors}) == len(errors)
+        assert len({str(e) for e in errors}) == 1
 
     def test_forbidden_set_distinguished(self):
         device = DEVICES["xc5vlx110t"]

@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core import batch
 from repro.core.api import batch_evaluate, evaluate_prm
-from repro.core.explorer import explore, pareto_front
-from repro.core.fastpath import PlacementCache, RegionOccupancy
 from repro.core.params import PRMRequirements
 from repro.core.placement_search import PlacementNotFoundError, find_prr
 from repro.devices import synthetic_device
-from repro.devices.catalog import DEVICES
 
 
 @st.composite
@@ -106,20 +103,6 @@ def test_batch_select_equals_scalar_loop(device, prms, objective):
         assert got == scalar_verdict(device, prm, objective)
 
 
-@given(device=fabrics(), prms=st.lists(prm_vectors(), min_size=1, max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_find_prr_batch_equals_scalar_on_groups(device, prms):
-    try:
-        expected = find_prr(device, prms)
-    except (PlacementNotFoundError, ValueError):
-        expected = None
-    try:
-        got = batch.find_prr_batch(device, prms)
-    except PlacementNotFoundError:
-        got = None
-    assert got == expected
-
-
 @given(device=fabrics(), prms=st.lists(prm_vectors(), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_batch_evaluate_equals_looped_evaluate_prm(device, prms):
@@ -133,61 +116,3 @@ def test_batch_evaluate_equals_looped_evaluate_prm(device, prms):
         assert bool(result.feasible[i])
         assert result.result(i) == expected
 
-
-def test_placement_cache_engines_agree_on_catalog():
-    prms = [
-        PRMRequirements(name="a", lut_ff_pairs=700, luts=700, ffs=350),
-        PRMRequirements(
-            name="b", lut_ff_pairs=2400, luts=2000, ffs=1500, brams=3
-        ),
-        PRMRequirements(name="c", lut_ff_pairs=300, luts=300, ffs=200, dsps=4),
-    ]
-    for device in DEVICES.values():
-        for objective in ("size", "bitstream"):
-            scalar_cache = PlacementCache(engine="scalar")
-            batch_cache = PlacementCache(engine="batch")
-            for group in ([prms[0]], [prms[1]], prms, prms[:2]):
-                empty = RegionOccupancy()
-                try:
-                    expected = scalar_cache.find_prr(
-                        device, group, forbidden=empty, objective=objective
-                    )
-                except PlacementNotFoundError:
-                    expected = None
-                try:
-                    got = batch_cache.find_prr(
-                        device, group, forbidden=empty, objective=objective
-                    )
-                except PlacementNotFoundError:
-                    got = None
-                assert got == expected, (device.name, objective)
-
-
-def test_explore_pareto_fronts_identical_on_all_catalog_devices():
-    """ISSUE 6 acceptance: engine="batch" explores bit-identically."""
-    prms = [
-        PRMRequirements(name="a", lut_ff_pairs=900, luts=900, ffs=500),
-        PRMRequirements(
-            name="b", lut_ff_pairs=2400, luts=2000, ffs=1500, brams=3
-        ),
-        PRMRequirements(name="c", lut_ff_pairs=300, luts=300, ffs=200, dsps=4),
-        PRMRequirements(name="d", lut_ff_pairs=5000, luts=5000, ffs=2500),
-    ]
-    for device in DEVICES.values():
-        scalar = explore(device, prms, engine="scalar")
-        vector = explore(device, prms, engine="batch")
-        assert list(scalar) == list(vector), device.name
-        assert pareto_front(scalar) == pareto_front(vector), device.name
-
-
-def test_explore_modes_agree_under_batch_engine():
-    prms = [
-        PRMRequirements(name="a", lut_ff_pairs=900, luts=900, ffs=500),
-        PRMRequirements(name="b", lut_ff_pairs=2400, luts=2000, ffs=1500),
-        PRMRequirements(name="c", lut_ff_pairs=300, luts=300, ffs=200),
-    ]
-    device = DEVICES["xc5vlx110t"]
-    for mode in ("exhaustive", "pruned", "beam"):
-        scalar = explore(device, prms, mode=mode, engine="scalar")
-        vector = explore(device, prms, mode=mode, engine="batch")
-        assert list(scalar) == list(vector), mode

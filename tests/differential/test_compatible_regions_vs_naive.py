@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import Region, synthetic_device
-from repro.relocation import (
-    find_compatible_regions,
-    find_compatible_regions_naive,
-)
+from repro.relocation import find_compatible_regions
+
+from .placement_reference import find_compatible_regions_naive
 
 
 @st.composite

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from repro.devices import synthetic_device
 from repro.devices.resources import ColumnKind, ResourceVector
 
+from .placement_reference import find_column_window_naive
+
 
 @st.composite
 def devices(draw):
@@ -61,7 +63,7 @@ def test_find_matches_naive(device, requirement, start_col):
     """Indexed and naive lookups agree on every (mix, start) query."""
     assert device.find_column_window(
         requirement, start_col=start_col
-    ) == device.find_column_window_naive(requirement, start_col=start_col)
+    ) == find_column_window_naive(device, requirement, start_col=start_col)
 
 
 @given(devices(), requirements())
@@ -71,7 +73,7 @@ def test_feasible_starts_match_naive_enumeration(device, requirement):
     naive = [
         col
         for col in range(1, device.num_columns - requirement.total + 2)
-        if device.find_column_window_naive(requirement, start_col=col) == col
+        if find_column_window_naive(device, requirement, start_col=col) == col
     ]
     assert list(device.feasible_window_starts(requirement)) == naive
 
@@ -92,4 +94,4 @@ def test_existing_window_is_always_found(device, data):
     )
     found = device.find_column_window(requirement)
     assert found is not None and found <= start
-    assert found == device.find_column_window_naive(requirement)
+    assert found == find_column_window_naive(device, requirement)

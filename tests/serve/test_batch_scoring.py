@@ -112,24 +112,6 @@ class TestBatchedResults:
         counters = session.to_dict()["metrics"]["counters"]
         assert counters.get("serve.batch_calls", 0) == 0
 
-    def test_numpy_missing_falls_back_to_scalar(self, monkeypatch):
-        from repro.core import batch as batch_engine
-
-        monkeypatch.setattr(batch_engine, "np", None)
-        config = ServiceConfig(workers=1, max_batch=8)
-        service = CostModelService(config)
-        service._accepting = True
-        tickets = [
-            service.submit(EvaluateRequest(p, "xc5vlx110t")) for p in PRMS[:2]
-        ]
-        service._accepting = False
-        service.start()
-        results = [t.result(timeout=10.0) for t in tickets]
-        service.stop()
-        monkeypatch.undo()
-        for p, result in zip(PRMS[:2], results):
-            assert result == evaluate_prm(p, "xc5vlx110t")
-
 
 class TestBatchErrorParity:
     def test_infeasible_member_gets_scalar_typed_error(self):

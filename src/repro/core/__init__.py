@@ -69,7 +69,6 @@ from .explorer import (
 )
 from .fastpath import (
     GroupBounds,
-    PlacementCache,
     RegionOccupancy,
     group_lower_bounds,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "MAX_EXHAUSTIVE_PRMS",
     "DEFAULT_BEAM_WIDTH",
     "RegionOccupancy",
-    "PlacementCache",
     "GroupBounds",
     "group_lower_bounds",
     "CostModelResult",

@@ -26,6 +26,16 @@ Four search strategies share the evaluation machinery (see
 * ``auto`` — exhaustive up to :data:`MAX_EXHAUSTIVE_PRMS` PRMs, beam
   beyond.
 
+The shared machinery works per PRM subset, not per partition: eight
+PRMs have 255 subsets but 4,140 set partitions.  One run builds a
+:class:`~repro.core.fastpath.SubsetTable` (each subset's geometries
+ranked as the Fig. 1 search tries them, and its bounds) and interns each
+distinct set of placed regions as an int occupancy state, so the Fig. 1
+step of a group against a state is computed once and every later
+partition that reaches that state reads it back.  Objectives are summed
+from ints while placing; design objects are built only for feasible
+partitions, after the final sort.
+
 Two resilience layers sit on top (ISSUE 5):
 
 * **anytime search** — ``explore(..., deadline_s=...)`` (or
@@ -48,24 +58,17 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
-from ..devices.fabric import Device
+from ..devices.fabric import Device, Region
 from ..errors import BackendBroken, InvalidInput, ReproError
 from ..obs import trace as _obs
 from .bitstream_model import cached_bitstream_bytes
 from .budget import Budget
-from .fastpath import (
-    PlacementCache,
-    RegionOccupancy,
-    group_lower_bounds,
-)
+from .fastpath import RegionOccupancy, SubsetTable
 from .params import PRMRequirements
-from .placement_search import (
-    PlacedPRR,
-    PlacementNotFoundError,
-    find_prr,
-)
+from .placement_search import PlacedPRR, _place_geometry
 from .reconfig_model import ICAP_VIRTEX5_BYTES_PER_S, estimate_reconfig_time
 from .utilization import UtilizationReport, utilization
 
@@ -105,7 +108,7 @@ def _record_search_metrics(
     evaluated: int,
     pruned: int,
     feasible: int,
-    cache: "PlacementCache | None",
+    evaluator: "_PartitionEvaluator | None",
 ) -> None:
     """Publish one strategy run's search statistics (no-op when disabled).
 
@@ -118,11 +121,13 @@ def _record_search_metrics(
     registry.counter("explore.candidates_evaluated").inc(evaluated)
     registry.counter("explore.branches_pruned").inc(pruned)
     registry.counter("explore.designs_feasible").inc(feasible)
+    # Step-memo reads feed the placement-cache counters, whose names every
+    # trace document carries.
     hits = registry.counter("explore.placement_cache_hits")
     misses = registry.counter("explore.placement_cache_misses")
-    if cache is not None:
-        hits.inc(cache.hits)
-        misses.inc(cache.misses)
+    if evaluator is not None:
+        hits.inc(evaluator.lookups - evaluator.misses)
+        misses.inc(evaluator.misses)
     span = _obs.current_span()
     if span is not None:
         span.set("strategy", strategy)
@@ -133,19 +138,13 @@ def _record_search_metrics(
 def iter_set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
     """Yield all set partitions of *items* (order-insensitive groups).
 
-    Standard recursive construction: the first item starts in its own
-    group; each later item either joins an existing group or starts a new
-    one.
+    Each partition of ``items[1:]`` yields ``items[0]`` joined to each of
+    its groups in turn, then ``items[0]`` alone in a new first group (see
+    :func:`_mask_partitions`); groups list their items in input order.
     """
     items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partial in iter_set_partitions(rest):
-        for index in range(len(partial)):
-            yield partial[:index] + [[first] + partial[index]] + partial[index + 1 :]
-        yield [[first]] + partial
+    for masks in _mask_partitions(len(items)):
+        yield [[items[i] for i in _bits(mask)] for mask in masks]
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,8 +158,7 @@ class PRRAssignment:
     def bitstream_bytes(self) -> int:
         """Every PRM of a shared PRR reconfigures the whole PRR, so all of
         its partial bitstreams have the same eq. (18) size (memoized per
-        geometry — ``objectives`` re-asks this on every sort/Pareto
-        comparison)."""
+        geometry)."""
         return cached_bitstream_bytes(self.placement.geometry)
 
     def utilization_of(self, prm: PRMRequirements) -> UtilizationReport:
@@ -278,44 +276,235 @@ class ExploreResult(list):
         return pareto_front(self)
 
 
+_MISSING = object()
+
+
+class _PartitionEvaluator:
+    """Shared evaluation state of one explorer run.
+
+    Every strategy evaluates partitions given as tuples of PRM-subset
+    bitmasks over ``prms``.  Three memos make a partition cost a few dict
+    reads once its groups have been seen:
+
+    * the :class:`~repro.core.fastpath.SubsetTable` (per-subset ranked
+      geometries and bounds);
+    * interned occupancy states — each distinct set of already-placed
+      regions gets an int id (0 is the empty fabric), so
+      ``(state, geometry id) -> (PlacedPRR, next state) | None`` and
+      ``(state, subset) -> step | None`` are int-keyed memos.  A step is
+      the Fig. 1 result for one group: the first ``(size, H)``-ranked
+      geometry that places, as ``(next state, size, bytes x members,
+      bytes, PRRAssignment)``; ``None`` when no geometry places;
+    * reconfiguration seconds per distinct worst-byte count.
+
+    Groups are placed largest-first (``-max(lut_ff_pairs)``, stable), so
+    partitions sharing a placed prefix share its states and steps.
+    ``lookups``/``misses`` count step-memo reads for the search telemetry.
+    """
+
+    __slots__ = (
+        "table",
+        "device_name",
+        "controller_bytes_per_s",
+        "lookups",
+        "misses",
+        "_stride",
+        "_order",
+        "_steps",
+        "_states",
+        "_state_ids",
+        "_placements",
+        "_seconds",
+        "_remaining",
+    )
+
+    def __init__(
+        self,
+        device: Device,
+        prms: Sequence[PRMRequirements],
+        controller_bytes_per_s: float,
+    ) -> None:
+        self.table = SubsetTable(device, prms)
+        self.device_name = device.name
+        self.controller_bytes_per_s = controller_bytes_per_s
+        self.lookups = 0
+        self.misses = 0
+        self._stride = 1 << len(self.table.prms)
+        self._order: dict[int, int] = {}
+        self._steps: dict[int, tuple | None] = {}
+        self._states = [RegionOccupancy()]
+        self._state_ids: dict[frozenset[Region], int] = {frozenset(): 0}
+        self._placements: dict[tuple[int, int], tuple[PlacedPRR, int] | None] = {}
+        self._seconds: dict[int, float] = {}
+        self._remaining: list[tuple[int, int] | None] | None = None
+
+    def evaluate(
+        self, masks: Sequence[int]
+    ) -> tuple[tuple[int, int, float], tuple[PRRAssignment, ...]] | None:
+        """``(objectives, assignments)`` of one partition, or ``None``."""
+        order = self._order
+        for mask in masks:
+            if mask not in order:
+                order[mask] = -max(self.table.prms[i].lut_ff_pairs for i in _bits(mask))
+        steps = self._steps
+        stride = self._stride
+        state = area = total_bytes = worst_bytes = 0
+        assignments = []
+        for mask in sorted(masks, key=order.__getitem__):
+            self.lookups += 1
+            step = steps.get(state * stride + mask, _MISSING)
+            if step is _MISSING:
+                step = self._step(state, mask)
+            if step is None:
+                return None
+            state, size, weighted_bytes, nbytes, assignment = step
+            area += size
+            total_bytes += weighted_bytes
+            if nbytes > worst_bytes:
+                worst_bytes = nbytes
+            assignments.append(assignment)
+        seconds = self.seconds(worst_bytes) if assignments else 0.0
+        return (area, total_bytes, seconds), tuple(assignments)
+
+    def design(self, assignments: tuple[PRRAssignment, ...]) -> PartitioningDesign:
+        return PartitioningDesign(
+            device_name=self.device_name,
+            assignments=assignments,
+            controller_bytes_per_s=self.controller_bytes_per_s,
+        )
+
+    def designs(self, rows: list) -> list[PartitioningDesign]:
+        """Designs of the ``(objectives, assignments, ...)`` rows, best first.
+
+        The sort is stable, so objective ties keep evaluation order.
+        """
+        rows.sort(key=itemgetter(0))
+        return [self.design(row[1]) for row in rows]
+
+    def seconds(self, nbytes: int) -> float:
+        """Reconfiguration time of an *nbytes* bitstream (memoized)."""
+        seconds = self._seconds.get(nbytes)
+        if seconds is None:
+            seconds = self._seconds[nbytes] = estimate_reconfig_time(
+                nbytes, controller_bytes_per_s=self.controller_bytes_per_s
+            ).seconds
+        return seconds
+
+    def remaining(self, next_index: int) -> tuple[int, int] | None:
+        """(sum, max) of solo min bytes over PRMs ``next_index..n-1``.
+
+        ``None`` when one of them has no feasible geometry on its own.
+        """
+        if self._remaining is None:
+            suffix: list[tuple[int, int] | None] = [(0, 0)]
+            for index in reversed(range(len(self.table.prms))):
+                bounds = self.table.bounds(1 << index)
+                after = suffix[-1]
+                suffix.append(
+                    None
+                    if bounds is None or after is None
+                    else (after[0] + bounds.min_bytes, max(after[1], bounds.min_bytes))
+                )
+            self._remaining = suffix[::-1]
+        return self._remaining[next_index]
+
+    def _step(self, state: int, mask: int) -> tuple | None:
+        self.misses += 1
+        table = self.table
+        step = None
+        for gid in table.entry(mask)[0]:
+            placed = self._place(state, gid)
+            if placed is not None:
+                placement, next_state = placed
+                nbytes = table.bytes[gid]
+                step = (
+                    next_state,
+                    table.sizes[gid],
+                    nbytes * mask.bit_count(),
+                    nbytes,
+                    PRRAssignment(
+                        prms=tuple(table.prms[i] for i in _bits(mask)),
+                        placement=placement,
+                    ),
+                )
+                break
+        self._steps[state * self._stride + mask] = step
+        return step
+
+    def _place(self, state: int, gid: int) -> tuple[PlacedPRR, int] | None:
+        key = (state, gid)
+        if key in self._placements:
+            return self._placements[key]
+        placement = _place_geometry(
+            self.table.device, self.table.geometries[gid], self._states[state]
+        )
+        placed = None
+        if placement is not None:
+            region = placement.region
+            state_key = self._states[state].key() | {region}
+            next_state = self._state_ids.get(state_key)
+            if next_state is None:
+                next_state = self._state_ids[state_key] = len(self._states)
+                self._states.append(RegionOccupancy(state_key))
+            placed = (placement, next_state)
+        self._placements[key] = placed
+        return placed
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of *mask*, increasing."""
+    index = 0
+    while mask:
+        if mask & 1:
+            yield index
+        mask >>= 1
+        index += 1
+
+
+def _mask_partitions(n: int) -> list[tuple[int, ...]]:
+    """Set partitions of ``range(n)`` as tuples of group bitmasks.
+
+    Partitions of items ``k..n-1`` grow from those of ``k+1..n-1``: item
+    ``k`` joins each existing group in turn, then starts a new group in
+    front.  The stable objective sort breaks ties by this order.
+    """
+    partitions: list[tuple[int, ...]] = [()]
+    for item in reversed(range(n)):
+        bit = 1 << item
+        grown: list[tuple[int, ...]] = []
+        for partial in partitions:
+            for index in range(len(partial)):
+                grown.append(
+                    partial[:index] + (partial[index] | bit,) + partial[index + 1 :]
+                )
+            grown.append((bit, *partial))
+        partitions = grown
+    return partitions
+
+
 def evaluate_partition(
     device: Device,
     groups: Sequence[Sequence[PRMRequirements]],
     *,
     controller_bytes_per_s: float = ICAP_VIRTEX5_BYTES_PER_S,
-    placement_cache: PlacementCache | None = None,
 ) -> PartitioningDesign | None:
     """Place one PRR per group (non-overlapping); ``None`` if infeasible.
 
-    Groups are placed largest-first (by merged column demand) so big PRRs
-    get first pick of contiguous windows, then re-checked pairwise.  An
-    optional :class:`~repro.core.fastpath.PlacementCache` memoizes the
-    per-group Fig. 1 searches across repeated calls (the explorer shares
-    one cache over every partition it evaluates).
+    Groups are placed largest-first (by their largest member's LUT–FF
+    pairs, stable) so big PRRs get first pick of contiguous windows; each
+    runs the Fig. 1 search against the regions placed before it.
     """
-    ordered = sorted(
-        (list(group) for group in groups),
-        key=lambda group: -max(prm.lut_ff_pairs for prm in group),
-    )
-    placed: list[PRRAssignment] = []
-    occupied = RegionOccupancy()
-    for group in ordered:
-        try:
-            if placement_cache is not None:
-                placement = placement_cache.find_prr(
-                    device, group, forbidden=occupied
-                )
-            else:
-                placement = find_prr(device, group, forbidden=occupied)
-        except PlacementNotFoundError:
-            return None
-        placed.append(PRRAssignment(prms=tuple(group), placement=placement))
-        occupied.add(placement.region)
-    return PartitioningDesign(
-        device_name=device.name,
-        assignments=tuple(placed),
-        controller_bytes_per_s=controller_bytes_per_s,
-    )
+    prms: list[PRMRequirements] = []
+    masks: list[int] = []
+    for group in groups:
+        mask = 0
+        for prm in group:
+            mask |= 1 << len(prms)
+            prms.append(prm)
+        masks.append(mask)
+    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
+    row = evaluator.evaluate(masks)
+    return None if row is None else evaluator.design(row[1])
 
 
 def explore(
@@ -477,7 +666,7 @@ def _explore_anytime(
             budget=budget,
         )
     if incumbent is not None and not any(
-        _same_grouping(d, incumbent) for d in designs
+        _grouping(d) == _grouping(incumbent) for d in designs
     ):
         designs = sorted([*designs, incumbent], key=lambda d: d.objectives)
     status = "degraded" if budget.exhausted_reason is not None else "exhausted"
@@ -512,7 +701,7 @@ def _escalate_mode(n: int, budget: Budget, probe_s: float) -> str:
 
     Exhaustive enumerates Bell(n) candidates; the incumbent evaluation
     time is the per-candidate cost estimate (an overestimate once the
-    placement cache warms up, which biases toward completing in budget).
+    step memo warms up, which biases toward completing in budget).
     Pruned typically evaluates a small fraction of Bell(n) but has no
     useful a-priori bound, so it gets a generous multiplier; beam is the
     always-bounded fallback.
@@ -602,34 +791,28 @@ def _explore_exhaustive(
     max_prrs: int | None,
     budget: Budget | None = None,
 ) -> list[PartitioningDesign]:
-    cache = PlacementCache()
-    designs: list[PartitioningDesign] = []
+    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
+    rows = []
     evaluated = 0
-    for partition in iter_set_partitions(range(len(prms))):
+    for masks in _mask_partitions(len(prms)):
         if budget is not None and budget.expired:
             break
-        if max_prrs is not None and len(partition) > max_prrs:
+        if max_prrs is not None and len(masks) > max_prrs:
             continue
-        groups = [[prms[i] for i in group] for group in partition]
         evaluated += 1
-        design = evaluate_partition(
-            device,
-            groups,
-            controller_bytes_per_s=controller_bytes_per_s,
-            placement_cache=cache,
-        )
+        row = evaluator.evaluate(masks)
         if budget is not None:
             budget.charge()
-        if design is not None:
-            designs.append(design)
-    designs.sort(key=lambda d: d.objectives)
+        if row is not None:
+            rows.append(row)
+    designs = evaluator.designs(rows)
     if _obs.enabled:
         _record_search_metrics(
             strategy="exhaustive",
             evaluated=evaluated,
             pruned=0,
             feasible=len(designs),
-            cache=cache,
+            evaluator=evaluator,
         )
     return designs
 
@@ -640,23 +823,19 @@ def _explore_exhaustive(
 def _evaluate_partition_chunk(
     device: Device,
     prms: Sequence[PRMRequirements],
-    partitions: Sequence[Sequence[Sequence[int]]],
+    partitions: Sequence[Sequence[int]],
     controller_bytes_per_s: float,
-) -> list[PartitioningDesign]:
-    """Worker entry point: evaluate a chunk of index partitions."""
-    cache = PlacementCache()
-    designs: list[PartitioningDesign] = []
-    for partition in partitions:
-        groups = [[prms[i] for i in group] for group in partition]
-        design = evaluate_partition(
-            device,
-            groups,
-            controller_bytes_per_s=controller_bytes_per_s,
-            placement_cache=cache,
-        )
-        if design is not None:
-            designs.append(design)
-    return designs
+) -> list[tuple[tuple[int, int, float], PartitioningDesign]]:
+    """Worker entry point: ``(objectives, design)`` of each feasible
+    partition of a chunk (partitions as PRM-subset bitmask tuples), in
+    chunk order."""
+    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
+    rows = []
+    for masks in partitions:
+        row = evaluator.evaluate(masks)
+        if row is not None:
+            rows.append((row[0], evaluator.design(row[1])))
+    return rows
 
 
 #: The function worker processes run per chunk.  Module-level so tests and
@@ -710,9 +889,9 @@ def _explore_parallel(
     from ..faults.reliable import RetryPolicy
 
     partitions = [
-        [tuple(group) for group in partition]
-        for partition in iter_set_partitions(range(len(prms)))
-        if max_prrs is None or len(partition) <= max_prrs
+        masks
+        for masks in _mask_partitions(len(prms))
+        if max_prrs is None or len(masks) <= max_prrs
     ]
     chunk_count = min(len(partitions), workers * 4) or 1
     chunk_size = -(-len(partitions) // chunk_count)
@@ -724,7 +903,7 @@ def _explore_parallel(
     policy = RetryPolicy(
         max_attempts=3, backoff_base_s=0.05, backoff_factor=2.0, backoff_cap_s=0.5
     )
-    results: dict[int, list[PartitioningDesign]] = {}
+    results: dict[int, list[tuple[tuple[int, int, float], PartitioningDesign]]] = {}
     pending = list(range(len(chunks)))
     crashes = 0
     pool_breaks = 0
@@ -794,19 +973,18 @@ def _explore_parallel(
                 f"after {crashes} worker crash(es)",
                 cause=repr(exc),
             ) from exc
-    designs = [
-        design for index in sorted(results) for design in results[index]
-    ]
-    designs.sort(key=lambda d: d.objectives)
+    rows = [row for index in sorted(results) for row in results[index]]
+    rows.sort(key=itemgetter(0))
+    designs = [design for _, design in rows]
     if _obs.enabled:
-        # Worker-local placement caches cannot report back; candidate and
+        # Worker-local step memos cannot report back; candidate and
         # feasibility counts still can.
         _record_search_metrics(
             strategy="parallel",
             evaluated=len(partitions),
             pruned=0,
             feasible=len(designs),
-            cache=None,
+            evaluator=None,
         )
         _record_recovery_metrics(
             crashes=crashes,
@@ -821,15 +999,13 @@ def _explore_parallel(
 
 
 def _partial_lower_bound(
-    device: Device,
-    prms: Sequence[PRMRequirements],
-    groups: Sequence[Sequence[int]],
+    evaluator: _PartitionEvaluator,
+    masks: Sequence[int],
     next_index: int,
-    controller_bytes_per_s: float,
 ) -> tuple[int, int, float] | None:
     """Admissible objective lower bound for every completion of a partial.
 
-    ``groups`` partitions PRMs ``0..next_index-1``; the rest are
+    ``masks`` partitions PRMs ``0..next_index-1``; the rest are
     unassigned.  Area: each existing group costs at least its geometry
     minimum, and an unassigned PRM may join an existing group for free.
     Bitstream: each PRM pays at least the minimum bytes of its current
@@ -838,29 +1014,23 @@ def _partial_lower_bound(
     the largest of those per-group byte minima.  Returns ``None`` when a
     group (and therefore every superset) has no feasible geometry.
     """
+    table = evaluator.table
     area = 0
     total_bytes = 0
     worst_bytes = 0
-    for group in groups:
-        bounds = group_lower_bounds(device, [prms[i] for i in group])
+    for mask in masks:
+        bounds = table.bounds(mask)
         if bounds is None:
             return None
         area += bounds.min_size
-        total_bytes += bounds.min_bytes * len(group)
+        total_bytes += bounds.min_bytes * mask.bit_count()
         worst_bytes = max(worst_bytes, bounds.min_bytes)
-    for index in range(next_index, len(prms)):
-        bounds = group_lower_bounds(device, [prms[index]])
-        if bounds is None:
-            return None
-        total_bytes += bounds.min_bytes
-        worst_bytes = max(worst_bytes, bounds.min_bytes)
-    worst_seconds = (
-        estimate_reconfig_time(
-            worst_bytes, controller_bytes_per_s=controller_bytes_per_s
-        ).seconds
-        if worst_bytes
-        else 0.0
-    )
+    remaining = evaluator.remaining(next_index)
+    if remaining is None:
+        return None
+    total_bytes += remaining[0]
+    worst_bytes = max(worst_bytes, remaining[1])
+    worst_seconds = evaluator.seconds(worst_bytes) if worst_bytes else 0.0
     return (area, total_bytes, worst_seconds)
 
 
@@ -896,18 +1066,22 @@ def _explore_pruned(
     ones, which keeps a cut-off front useful.
     """
     n = len(prms)
-    cache = PlacementCache()
-    designs: list[PartitioningDesign] = []
+    if n == 0:
+        return []
+    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
+    rows = []
+    # Completed objectives no other completed design is <= everywhere.  A
+    # design that strictly dominates a bound is itself >= one kept here,
+    # which then strictly dominates the bound too, so testing bounds
+    # against this front alone prunes exactly the same branches.
     archived: list[tuple[int, int, float]] = []
-    groups: list[list[int]] = []
+    masks: list[int] = []
     evaluated = 0
     pruned = 0
 
     def viable(next_index: int) -> bool:
         nonlocal pruned
-        bound = _partial_lower_bound(
-            device, prms, groups, next_index, controller_bytes_per_s
-        )
+        bound = _partial_lower_bound(evaluator, masks, next_index)
         if bound is None:
             pruned += 1
             return False
@@ -922,46 +1096,47 @@ def _explore_pruned(
             raise _BudgetExhausted
         if index == n:
             evaluated += 1
-            design = evaluate_partition(
-                device,
-                [[prms[i] for i in group] for group in groups],
-                controller_bytes_per_s=controller_bytes_per_s,
-                placement_cache=cache,
-            )
+            row = evaluator.evaluate(masks)
             if budget is not None:
                 budget.charge()
-            if design is not None:
-                designs.append(design)
-                archived.append(design.objectives)
+            if row is not None:
+                rows.append(row)
+                done = row[0]
+                if not any(all(x <= y for x, y in zip(kept, done)) for kept in archived):
+                    archived[:] = [
+                        kept
+                        for kept in archived
+                        if not all(y <= x for x, y in zip(kept, done))
+                    ]
+                    archived.append(done)
             return
         # Join-existing-group branches first: the all-shared design is the
         # first leaf reached and usually seeds a tight area bound.
-        for group in groups:
-            group.append(index)
+        bit = 1 << index
+        for position in range(len(masks)):
+            masks[position] |= bit
             if viable(index + 1):
                 descend(index + 1)
-            group.pop()
-        if max_prrs is None or len(groups) < max_prrs:
-            groups.append([index])
+            masks[position] &= ~bit
+        if max_prrs is None or len(masks) < max_prrs:
+            masks.append(bit)
             if viable(index + 1):
                 descend(index + 1)
-            groups.pop()
+            masks.pop()
 
-    if n == 0:
-        return []
     try:
         if viable(0):
             descend(0)
     except _BudgetExhausted:
         pass
-    designs.sort(key=lambda d: d.objectives)
+    designs = evaluator.designs(rows)
     if _obs.enabled:
         _record_search_metrics(
             strategy="pruned",
             evaluated=evaluated,
             pruned=pruned,
             feasible=len(designs),
-            cache=cache,
+            evaluator=evaluator,
         )
     return designs
 
@@ -978,9 +1153,13 @@ def _explore_beam(
     """Bounded-width beam search over partial partitions.
 
     Level ``k`` holds at most ``beam_width`` partitions of the first ``k``
-    PRMs, ranked by the same admissible lower bound the pruned path uses;
-    survivors of the final level are evaluated exactly.  Completes in
-    O(n x beam_width x n) partial expansions regardless of PRM count.
+    PRMs, ranked by their placed objectives plus the admissible
+    remaining-PRM bitstream contribution; survivors of the final level
+    are the designs.  Completes in O(n x beam_width x n) partial
+    expansions regardless of PRM count.  Unplaceable partials are
+    dropped — unlike the exact pruned path, beam search may discard
+    completions a different grouping would have saved, which is the
+    accepted trade-off of the fallback.
 
     Budget expiry stops the level expansion; completed designs seen so
     far (only the final level produces any) are returned, and the
@@ -991,57 +1170,25 @@ def _explore_beam(
     n = len(prms)
     if n == 0:
         return []
-    cache = PlacementCache()
+    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
     evaluated = 0
     pruned = 0
     cut = False
 
-    def partial_score(
-        candidate: tuple[tuple[int, ...], ...], next_index: int
-    ) -> tuple[tuple[int, int, float], PartitioningDesign] | None:
-        """Score a placeable partial: actual partial objectives plus the
-        admissible remaining-PRM bitstream contribution.  ``None`` prunes
-        unplaceable partials — unlike the exact pruned path, beam search
-        may discard completions a different grouping would have saved,
-        which is the accepted trade-off of the fallback."""
-        design = evaluate_partition(
-            device,
-            [[prms[i] for i in group] for group in candidate],
-            controller_bytes_per_s=controller_bytes_per_s,
-            placement_cache=cache,
-        )
-        if design is None:
-            return None
-        remaining_bytes = 0
-        worst_bytes = 0
-        for index in range(next_index, n):
-            bounds = group_lower_bounds(device, [prms[index]])
-            if bounds is None:
-                return None
-            remaining_bytes += bounds.min_bytes
-            worst_bytes = max(worst_bytes, bounds.min_bytes)
-        area, total_bytes, worst_seconds = design.objectives
-        if worst_bytes:
-            worst_seconds = max(
-                worst_seconds,
-                estimate_reconfig_time(
-                    worst_bytes, controller_bytes_per_s=controller_bytes_per_s
-                ).seconds,
-            )
-        return (area, total_bytes + remaining_bytes, worst_seconds), design
-
-    beam: list[tuple[tuple[int, ...], ...]] = [()]
-    final: dict[tuple[tuple[int, ...], ...], PartitioningDesign] = {}
+    beam: list[tuple[int, ...]] = [()]
+    final: dict[tuple[int, ...], tuple] = {}
     for index in range(n):
-        scored: list[tuple[tuple[int, int, float], tuple[tuple[int, ...], ...]]] = []
-        seen: set[tuple[tuple[int, ...], ...]] = set()
+        bit = 1 << index
+        remaining = evaluator.remaining(index + 1)
+        scored: list[tuple[tuple[int, int, float], tuple[int, ...]]] = []
+        seen: set[tuple[int, ...]] = set()
         for partial in beam:
             expansions = [
-                partial[:gi] + (partial[gi] + (index,),) + partial[gi + 1 :]
+                partial[:gi] + (partial[gi] | bit,) + partial[gi + 1 :]
                 for gi in range(len(partial))
             ]
             if max_prrs is None or len(partial) < max_prrs:
-                expansions.append(partial + ((index,),))
+                expansions.append(partial + (bit,))
             for candidate in expansions:
                 if budget is not None and budget.expired:
                     cut = True
@@ -1051,62 +1198,75 @@ def _explore_beam(
                     continue
                 seen.add(canonical)
                 evaluated += 1
-                result = partial_score(candidate, index + 1)
+                row = evaluator.evaluate(candidate)
                 if budget is not None:
                     budget.charge()
-                if result is None:
+                if row is None or remaining is None:
                     pruned += 1
                     continue
-                score, design = result
-                scored.append((score, candidate))
+                (area, total_bytes, worst_seconds), _ = row
+                remaining_bytes, worst_bytes = remaining
+                if worst_bytes:
+                    worst_seconds = max(worst_seconds, evaluator.seconds(worst_bytes))
+                scored.append(((area, total_bytes + remaining_bytes, worst_seconds), candidate))
                 if index + 1 == n:
-                    final[candidate] = design
+                    final[candidate] = row
             if cut:
                 break
-        scored.sort(key=lambda item: item[0])
+        scored.sort(key=itemgetter(0))
         pruned += max(0, len(scored) - beam_width)
         beam = [candidate for _, candidate in scored[:beam_width]]
         if cut or not beam:
             break
-    designs = [final[candidate] for candidate in beam if candidate in final]
-    if cut and not designs:
+    rows = [final[candidate] for candidate in beam if candidate in final]
+    if cut and not rows:
         # The budget expired before the last level: salvage any exactly
         # evaluated complete designs (there are none unless n was reached,
         # so this usually stays empty and the incumbent covers the result).
-        designs = list(final.values())
-    designs.sort(key=lambda d: d.objectives)
+        rows = list(final.values())
+    designs = evaluator.designs(rows)
     if _obs.enabled:
         _record_search_metrics(
             strategy="beam",
             evaluated=evaluated,
             pruned=pruned,
             feasible=len(designs),
-            cache=cache,
+            evaluator=evaluator,
         )
     return designs
 
 
 def pareto_front(designs: Sequence[PartitioningDesign]) -> list[PartitioningDesign]:
-    """Designs not dominated on (area, bitstream, worst reconfig time)."""
+    """Designs not dominated on (area, bitstream, worst reconfig time).
+
+    The front keeps input order and one design per (objectives,
+    grouping).  Each design's objectives are computed once; candidates
+    are then tested in lexicographic order against the non-dominated
+    objective vectors found so far.  A dominating vector sorts before
+    the one it dominates, and domination is transitive, so that is
+    exact.
+    """
+    objectives = [design.objectives for design in designs]
+    kept: list[tuple[int, int, float]] = []
+    on_front = [False] * len(designs)
+    for index in sorted(range(len(designs)), key=objectives.__getitem__):
+        c = objectives[index]
+        if not any(all(x <= y for x, y in zip(o, c)) and o != c for o in kept):
+            on_front[index] = True
+            if not kept or kept[-1] != c:
+                kept.append(c)
     front: list[PartitioningDesign] = []
-    for candidate in designs:
-        c = candidate.objectives
-        dominated = False
-        for other in designs:
-            if other is candidate:
-                continue
-            o = other.objectives
-            if all(x <= y for x, y in zip(o, c)) and o != c:
-                dominated = True
-                break
-        if not dominated and not any(
-            f.objectives == c and _same_grouping(f, candidate) for f in front
-        ):
-            front.append(candidate)
+    emitted: set[tuple] = set()
+    for index, design in enumerate(designs):
+        if on_front[index]:
+            key = (objectives[index], _grouping(design))
+            if key not in emitted:
+                emitted.add(key)
+                front.append(design)
     return front
 
 
-def _same_grouping(a: PartitioningDesign, b: PartitioningDesign) -> bool:
-    names_a = sorted(tuple(sorted(p.name for p in x.prms)) for x in a.assignments)
-    names_b = sorted(tuple(sorted(p.name for p in x.prms)) for x in b.assignments)
-    return names_a == names_b
+def _grouping(design: PartitioningDesign) -> tuple[tuple[str, ...], ...]:
+    """PRM names per PRR, independent of PRR and member order."""
+    return tuple(sorted(tuple(sorted(p.name for p in a.prms)) for a in design.assignments))
+

@@ -7,49 +7,40 @@ and :mod:`~repro.core.explorer`:
   column, so the "does this candidate window overlap anything?" check can
   bisect to the overlap-candidate range and bail out early instead of
   scanning every forbidden region (the old O(n^2) pairwise loop).
-* :class:`PlacementCache` — memoized :func:`~repro.core.placement_search.
-  find_prr` results keyed on ``(device, group, forbidden set,
-  objective)``.  The explorer re-places identical PRM groups across many
-  set partitions (the first-placed group sees the same empty fabric in
-  every partition that contains it), so the cache turns the inner Fig. 1
-  searches of a Bell-number enumeration into dictionary hits.
+* :class:`SubsetTable` — one explorer run's table of PRM subsets as
+  bitmasks: each subset's merged per-H columns (built from per-PRM int
+  triples, one eqs. (1)–(6) evaluation per PRM and H), its feasible
+  geometries ranked by ``(size, H)`` as the Fig. 1 search tries them,
+  and its :class:`GroupBounds`.  Eight PRMs have 255 subsets but 4,140
+  set partitions, so every partition reads shared entries instead of
+  recomputing geometry.
 * :func:`group_lower_bounds` — per-group optimistic (area, bitstream)
   bounds over all feasible H, ignoring window availability.  These are
   admissible lower bounds on what any placement of the group can achieve
   and drive the branch-and-bound pruning and beam scoring in
-  :func:`~repro.core.explorer.explore`.
+  :func:`~repro.core.explorer.explore` (which reads them from its
+  :class:`SubsetTable`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ..devices.fabric import Device, Region
+from ..devices.resources import ResourceVector
+from ..errors import InvalidInput
 from .bitstream_model import cached_bitstream_bytes
 from .params import PRMRequirements
-from .prr_model import InfeasibleGeometryError, prr_geometry_for_rows
+from .prr_model import InfeasibleGeometryError, PRRGeometry, _columns_for_prm
 
 __all__ = [
     "RegionOccupancy",
-    "PlacementCache",
     "GroupBounds",
+    "SubsetTable",
     "group_lower_bounds",
-    "group_key",
-    "clear_bounds_cache",
 ]
-
-
-def group_key(group: Sequence[PRMRequirements]) -> tuple[PRMRequirements, ...]:
-    """Canonical (order-insensitive) cache key for a PRM group."""
-    return tuple(
-        sorted(
-            group,
-            key=lambda p: (p.name, p.lut_ff_pairs, p.luts, p.ffs, p.dsps, p.brams),
-        )
-    )
 
 
 class RegionOccupancy:
@@ -114,55 +105,6 @@ class RegionOccupancy:
         return len(self._regions)
 
 
-class PlacementCache:
-    """Memoized ``find_prr`` results for one explorer run.
-
-    The cache stores either the found :class:`~repro.core.
-    placement_search.PlacedPRR` or the message of the raised
-    :class:`~repro.core.placement_search.PlacementNotFoundError`, so
-    infeasible groups — the common case deep in a partition enumeration —
-    are as cheap to re-ask as feasible ones.  Each infeasible hit raises
-    a fresh error: re-raising one cached instance would grow its
-    traceback by a frame pair per hit and pin those frames.
-    """
-
-    __slots__ = ("_entries", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def find_prr(
-        self,
-        device: Device,
-        group: Sequence[PRMRequirements],
-        *,
-        forbidden: RegionOccupancy,
-        objective: str = "size",
-    ):
-        """Cached :func:`~repro.core.placement_search.find_prr`."""
-        from .placement_search import PlacementNotFoundError, find_prr
-
-        key = (device.name, group_key(group), forbidden.key(), objective)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            if isinstance(cached, str):
-                raise PlacementNotFoundError(cached)
-            return cached
-        self.misses += 1
-        try:
-            placed = find_prr(
-                device, list(group), objective=objective, forbidden=forbidden
-            )
-        except PlacementNotFoundError as error:
-            self._entries[key] = error.message
-            raise
-        self._entries[key] = placed
-        return placed
-
-
 @dataclass(frozen=True, slots=True)
 class GroupBounds:
     """Optimistic per-group bounds over all geometry-feasible H.
@@ -178,6 +120,119 @@ class GroupBounds:
     min_bytes: int
 
 
+
+
+class SubsetTable:
+    """Per-H geometry of every PRM subset one explorer run asks about.
+
+    Subsets are bitmasks over ``prms`` (bit ``i`` is ``prms[i]``).  The
+    per-PRM eqs. (1)–(6) columns are computed once per (PRM, H) as int
+    triples; a subset's columns at H are the elementwise max of its
+    lowest member's and the rest's (Section III.B's shared-PRR rule),
+    and are infeasible at H when any member is.  Entries fill on first
+    use, so a beam search over many PRMs only pays for the subsets it
+    visits.
+
+    Each entry holds the subset's feasible geometries ranked by
+    ``(PRR_size, H)`` — the order :func:`~repro.core.placement_search.
+    find_prr` tries them in — and its :class:`GroupBounds`.  Geometries
+    are interned per distinct ``(H, W_CLB, W_DSP, W_BRAM)`` and named by
+    an int id; ``sizes[id]`` / ``bytes[id]`` are their eq. (7) area and
+    eq. (18) bitstream size.
+    """
+
+    __slots__ = (
+        "device",
+        "prms",
+        "geometries",
+        "sizes",
+        "bytes",
+        "_columns",
+        "_entries",
+        "_geometry_ids",
+    )
+
+    def __init__(self, device: Device, prms: Sequence[PRMRequirements]) -> None:
+        self.device = device
+        self.prms = tuple(prms)
+        self.geometries: list[PRRGeometry] = []
+        self.sizes: list[int] = []
+        self.bytes: list[int] = []
+        self._geometry_ids: dict[tuple[int, int, int, int], int] = {}
+        self._entries: dict[int, tuple[tuple[int, ...], GroupBounds | None]] = {}
+        family = device.family
+        single = device.has_single_dsp_column
+        self._columns: dict[int, tuple[tuple[int, int, int] | None, ...]] = {}
+        for index, prm in enumerate(self.prms):
+            per_h: list[tuple[int, int, int] | None] = []
+            for rows in range(1, device.rows + 1):
+                try:
+                    cols = _columns_for_prm(prm, family, rows, single)
+                except InfeasibleGeometryError:
+                    per_h.append(None)
+                    continue
+                per_h.append((cols.clb, cols.dsp, cols.bram))
+            self._columns[1 << index] = tuple(per_h)
+
+    def columns(self, mask: int) -> tuple[tuple[int, int, int] | None, ...]:
+        """Merged (W_CLB, W_DSP, W_BRAM) per H (index ``H - 1``)."""
+        cols = self._columns.get(mask)
+        if cols is None:
+            if not mask:
+                raise InvalidInput("a PRR group needs at least one PRM")
+            low = self.columns(mask & -mask)
+            rest = self.columns(mask & (mask - 1))
+            cols = tuple(
+                None
+                if a is None or b is None
+                else (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+                for a, b in zip(low, rest)
+            )
+            self._columns[mask] = cols
+        return cols
+
+    def entry(self, mask: int) -> tuple[tuple[int, ...], GroupBounds | None]:
+        """``(geometry ids ranked by (size, H), bounds)`` of a subset."""
+        entry = self._entries.get(mask)
+        if entry is None:
+            ids = [
+                self._geometry_id(rows, cols)
+                for rows, cols in enumerate(self.columns(mask), start=1)
+                if cols is not None
+            ]
+            sizes, by = self.sizes, self.bytes
+            ranked = tuple(sorted(ids, key=lambda g: (sizes[g], self.geometries[g].rows)))
+            bounds = (
+                GroupBounds(
+                    min_size=min(sizes[g] for g in ids),
+                    min_bytes=min(by[g] for g in ids),
+                )
+                if ids
+                else None
+            )
+            entry = self._entries[mask] = (ranked, bounds)
+        return entry
+
+    def bounds(self, mask: int) -> GroupBounds | None:
+        """The subset's :class:`GroupBounds` (``None``: no feasible H)."""
+        return self.entry(mask)[1]
+
+    def _geometry_id(self, rows: int, cols: tuple[int, int, int]) -> int:
+        key = (rows, *cols)
+        gid = self._geometry_ids.get(key)
+        if gid is None:
+            geometry = PRRGeometry(
+                family=self.device.family,
+                rows=rows,
+                columns=ResourceVector(clb=cols[0], dsp=cols[1], bram=cols[2]),
+            )
+            gid = self._geometry_ids[key] = len(self.geometries)
+            self.geometries.append(geometry)
+            self.sizes.append(geometry.size)
+            self.bytes.append(cached_bitstream_bytes(geometry))
+        return gid
+
+
 def group_lower_bounds(
     device: Device, group: Sequence[PRMRequirements]
 ) -> GroupBounds | None:
@@ -188,36 +243,4 @@ def group_lower_bounds(
     dominate each member's, so a ``None`` verdict also rules out every
     superset of the group — the explorer prunes such branches outright.
     """
-    return _cached_bounds(device, group_key(group))
-
-
-@lru_cache(maxsize=65536)
-def _cached_bounds(
-    device: Device, key: tuple[PRMRequirements, ...]
-) -> GroupBounds | None:
-    min_size: int | None = None
-    min_bytes: int | None = None
-    for rows in range(1, device.rows + 1):
-        try:
-            geometry = prr_geometry_for_rows(
-                key,
-                device.family,
-                rows,
-                single_dsp_column=device.has_single_dsp_column,
-            )
-        except InfeasibleGeometryError:
-            continue
-        size = geometry.size
-        by = cached_bitstream_bytes(geometry)
-        if min_size is None or size < min_size:
-            min_size = size
-        if min_bytes is None or by < min_bytes:
-            min_bytes = by
-    if min_size is None or min_bytes is None:
-        return None
-    return GroupBounds(min_size=min_size, min_bytes=min_bytes)
-
-
-def clear_bounds_cache() -> None:
-    """Drop memoized group bounds (used by equivalence tests)."""
-    _cached_bounds.cache_clear()
+    return SubsetTable(device, group).bounds((1 << len(group)) - 1)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.fastpath import (
     GroupBounds,
-    PlacementCache,
     RegionOccupancy,
     group_lower_bounds,
 )
@@ -29,6 +28,7 @@ from repro.devices.fabric import Region
 from repro.devices.window_index import ColumnWindowIndex
 
 from tests.conftest import paper_requirements
+from tests.differential.explorer_reference import PlacementCache
 from tests.differential.placement_reference import find_column_window_naive
 
 
@@ -312,3 +312,7 @@ class TestGroupBounds:
             "dsphog", lut_ff_pairs=100, luts=100, ffs=0, dsps=8 * 8 + 1
         )
         assert group_lower_bounds(device, [impossible]) is None
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="at least one PRM"):
+            group_lower_bounds(DEVICES["xc5vlx110t"], [])

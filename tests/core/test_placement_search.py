@@ -208,14 +208,12 @@ class TestCachedVersusUncached:
         ids=[f"{w}@{d.name}" for w, d in PAPER_CASES],
     )
     def test_same_placed_prr_and_trace(self, workload, device):
-        from repro.core.fastpath import clear_bounds_cache
         from repro.core.prr_model import clear_geometry_cache
 
         family = {"xc5vlx110t": "virtex5", "xc6vlx75t": "virtex6"}[device.name]
         prm = paper_requirements(workload, family)
 
         clear_geometry_cache()
-        clear_bounds_cache()
         cold_placed = find_prr(device, prm)
         clear_geometry_cache()
         cold_trace = search_with_trace(device, prm)

@@ -6,8 +6,9 @@ Times the two halves of the fast-path work (ISSUE 1):
 * ``find_column_window`` — the indexed (prefix-sum + cached bisect) path
   against the retained naive slice-and-recount scan, over the paper's six
   PRM/device cases and a synthetic 10-PRM workload on a wide fabric;
-* ``explore`` — exhaustive / pruned / beam / parallel strategy timings on
-  the paper's 3-PRM workload and the synthetic 10-PRM workload.
+* ``explore`` — exhaustive / pruned / beam strategy timings on the
+  paper's 3-PRM workload and the synthetic 8- and 10-PRM workloads (all
+  in-process; the explorer has no process pool).
 
 Writes ``BENCH_explorer.json`` at the repo root so subsequent PRs can
 track the perf trajectory.  Run from the repo root::

@@ -1,20 +1,19 @@
 #!/usr/bin/env python
-"""Soak benchmark: the resilient serving layer under load and faults.
+"""Soak benchmark: the resilient serving layer under load.
 
 Exercises :class:`repro.serve.CostModelService` the way a reconfiguration
-manager would abuse it (ISSUE 5):
+manager would abuse it:
 
 * a **soak**: a burst of evaluate + explore requests against a small
   worker pool with a bounded queue — sheds are counted, every accepted
   request must resolve (result or typed error), latency percentiles are
   recorded;
-* **injected worker crashes**: the parallel explorer's chunk evaluator is
-  swapped for one that SIGKILLs the first pool worker, and the resulting
-  front is compared against the fault-free serial front;
 * an **anytime deadline** probe: a 10-PRM explore under a tight
   wall-clock budget must return within deadline + 10% (plus slack).
 
-Writes ``BENCH_serve.json`` at the repo root.  Run from the repo root::
+Process-crash recovery is benchmarked for the sharded tier by
+``scripts/bench_cluster.py``.  Writes ``BENCH_serve.json`` at the repo
+root.  Run from the repo root::
 
     PYTHONPATH=src python scripts/bench_serve.py [--quick]
 """
@@ -23,12 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
-import signal
-import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -38,7 +32,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(1, str(ROOT))
 
 from repro.core import explorer  # noqa: E402
-from repro.devices import XC5VLX110T, XC6VLX75T  # noqa: E402
+from repro.devices import XC5VLX110T  # noqa: E402
 from repro.errors import DeadlineExceeded, Overloaded, ReproError  # noqa: E402
 from repro.serve import (  # noqa: E402
     CostModelService,
@@ -51,10 +45,6 @@ from repro.workloads import build_fir, build_mips, build_sdram  # noqa: E402
 from scripts.bench_explorer import WIDE_DEVICE, synthetic_prms  # noqa: E402
 
 BUILDERS = {"fir": build_fir, "mips": build_mips, "sdram": build_sdram}
-DEVICES = {"xc5vlx110t": XC5VLX110T, "xc6vlx75t": XC6VLX75T}
-
-#: Marker file used by the crash-once evaluator (fork-inherited).
-_MARKER: str | None = None
 
 
 def paper_prms(device) -> list:
@@ -62,19 +52,6 @@ def paper_prms(device) -> list:
         synthesize(builder(device.family), device.family).requirements
         for builder in BUILDERS.values()
     ]
-
-
-def _in_worker() -> bool:
-    return multiprocessing.parent_process() is not None
-
-
-def crash_once_evaluator(device, prms, partitions, rate):
-    """SIGKILL the first pool worker that runs a chunk; normal afterwards."""
-    if _in_worker() and _MARKER and not os.path.exists(_MARKER):
-        with open(_MARKER, "w"):
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    return explorer._evaluate_partition_chunk(device, prms, partitions, rate)
 
 
 def percentile(samples: list[float], fraction: float) -> float:
@@ -88,18 +65,13 @@ def run_soak(
     requests: int,
     workers: int,
     queue_depth: int,
-    inject_crashes: bool,
     explore_deadline_s: float,
 ) -> dict:
     """Push a request burst through the service; account for every ticket."""
-    global _MARKER
     prms = paper_prms(XC5VLX110T)
     config = ServiceConfig(
         workers=workers, queue_depth=queue_depth, shed_retry_after_s=0.02
     )
-    saved_evaluator = explorer._CHUNK_EVALUATOR
-    marker_dir = tempfile.mkdtemp(prefix="bench-serve-")
-    crashes_injected = 0
     outcomes = {
         "completed": 0,
         "shed": 0,
@@ -109,63 +81,50 @@ def run_soak(
         "degraded": 0,
     }
     latencies: list[float] = []
-    try:
-        if inject_crashes:
-            explorer._CHUNK_EVALUATOR = crash_once_evaluator
-        with CostModelService(config) as service:
-            tickets = []
-            for index in range(requests):
-                kind = index % 4
-                if kind in (0, 1):
-                    request = EvaluateRequest(
-                        prms[index % len(prms)], "xc5vlx110t"
-                    )
-                elif kind == 2:
-                    request = ExploreRequest(
-                        XC5VLX110T,
-                        tuple(prms),
-                        mode="exhaustive",
-                        deadline_s=explore_deadline_s,
-                    )
-                else:
-                    if inject_crashes:
-                        _MARKER = os.path.join(marker_dir, f"crash-{index}")
-                        crashes_injected += 1
-                    request = ExploreRequest(
-                        XC5VLX110T,
-                        tuple(prms),
-                        mode="exhaustive",
-                        workers=2 if inject_crashes else None,
-                    )
-                try:
-                    submitted = time.perf_counter()
-                    tickets.append((submitted, service.submit(request)))
-                except Overloaded:
-                    outcomes["shed"] += 1
-                    time.sleep(config.shed_retry_after_s)
-            for submitted, ticket in tickets:
-                try:
-                    value = ticket.result(timeout=120)
-                except DeadlineExceeded:
-                    outcomes["deadline_exceeded"] += 1
-                except ReproError:
-                    outcomes["typed_errors"] += 1
-                except Exception:  # noqa: BLE001 - soak accounting
-                    outcomes["untyped_failures"] += 1
-                else:
-                    outcomes["completed"] += 1
-                    if getattr(value, "degraded", False):
-                        outcomes["degraded"] += 1
-                latencies.append(time.perf_counter() - submitted)
-    finally:
-        explorer._CHUNK_EVALUATOR = saved_evaluator
-        _MARKER = None
+    with CostModelService(config) as service:
+        tickets = []
+        for index in range(requests):
+            kind = index % 4
+            if kind in (0, 1):
+                request = EvaluateRequest(
+                    prms[index % len(prms)], "xc5vlx110t"
+                )
+            elif kind == 2:
+                request = ExploreRequest(
+                    XC5VLX110T,
+                    tuple(prms),
+                    mode="exhaustive",
+                    deadline_s=explore_deadline_s,
+                )
+            else:
+                request = ExploreRequest(
+                    XC5VLX110T, tuple(prms), mode="exhaustive"
+                )
+            try:
+                submitted = time.perf_counter()
+                tickets.append((submitted, service.submit(request)))
+            except Overloaded:
+                outcomes["shed"] += 1
+                time.sleep(config.shed_retry_after_s)
+        for submitted, ticket in tickets:
+            try:
+                value = ticket.result(timeout=120)
+            except DeadlineExceeded:
+                outcomes["deadline_exceeded"] += 1
+            except ReproError:
+                outcomes["typed_errors"] += 1
+            except Exception:  # noqa: BLE001 - soak accounting
+                outcomes["untyped_failures"] += 1
+            else:
+                outcomes["completed"] += 1
+                if getattr(value, "degraded", False):
+                    outcomes["degraded"] += 1
+            latencies.append(time.perf_counter() - submitted)
     accepted = len(latencies)
     resolved = accepted - outcomes["untyped_failures"]
     return {
         "requests": requests,
         "accepted": accepted,
-        "crashes_injected": crashes_injected,
         **outcomes,
         "resolution_rate_non_shed": round(resolved / accepted, 4)
         if accepted
@@ -175,32 +134,6 @@ def run_soak(
             "p99": round(percentile(latencies, 0.99), 4) if latencies else 0.0,
             "max": round(max(latencies), 4) if latencies else 0.0,
         },
-    }
-
-
-def run_crash_front_check() -> dict:
-    """Crash a worker mid-explore; the front must match the serial run."""
-    global _MARKER
-    prms = paper_prms(XC5VLX110T)
-    serial = explorer.explore(XC5VLX110T, prms, mode="exhaustive")
-    saved_evaluator = explorer._CHUNK_EVALUATOR
-    marker_dir = tempfile.mkdtemp(prefix="bench-serve-crash-")
-    try:
-        explorer._CHUNK_EVALUATOR = crash_once_evaluator
-        _MARKER = os.path.join(marker_dir, "crash")
-        recovered = explorer.explore(
-            XC5VLX110T, prms, mode="exhaustive", workers=2
-        )
-        crashed = os.path.exists(_MARKER)
-    finally:
-        explorer._CHUNK_EVALUATOR = saved_evaluator
-        _MARKER = None
-    return {
-        "crash_fired": crashed,
-        "serial_designs": len(serial),
-        "recovered_designs": len(recovered),
-        "front_matches_serial": [d.objectives for d in recovered]
-        == [d.objectives for d in serial],
     }
 
 
@@ -246,17 +179,8 @@ def main() -> int:
             requests=requests,
             workers=2,
             queue_depth=8,
-            inject_crashes=False,
             explore_deadline_s=5.0,
         ),
-        "soak_with_crashes": run_soak(
-            requests=requests,
-            workers=2,
-            queue_depth=8,
-            inject_crashes=True,
-            explore_deadline_s=5.0,
-        ),
-        "crash_recovery": run_crash_front_check(),
         "deadline_probe": run_deadline_probe(0.5),
     }
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -265,11 +189,8 @@ def main() -> int:
     print(json.dumps(document, indent=1, sort_keys=True))
     print(f"\nwrote {args.output}")
     failures = []
-    for arm in ("soak_fault_free", "soak_with_crashes"):
-        if document[arm]["untyped_failures"]:
-            failures.append(f"{arm}: untyped failures")
-    if not document["crash_recovery"]["front_matches_serial"]:
-        failures.append("crash_recovery: front mismatch")
+    if document["soak_fault_free"]["untyped_failures"]:
+        failures.append("soak_fault_free: untyped failures")
     if not document["deadline_probe"]["within_budget"]:
         failures.append("deadline_probe: budget blown")
     for failure in failures:

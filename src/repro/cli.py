@@ -47,12 +47,6 @@ def _add_explore_args(p: argparse.ArgumentParser) -> None:
         help="search strategy (auto: exhaustive <=8 PRMs, else beam)",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="evaluate partitions on a process pool of this size",
-    )
-    p.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -428,7 +422,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         device,
         prms,
         mode=args.mode,
-        workers=args.workers,
         deadline_s=args.deadline,
     )
     print(f"{len(designs)} feasible partitionings on {device.name}")

@@ -15,8 +15,7 @@ time).
 Four search strategies share the evaluation machinery (see
 :func:`explore`):
 
-* ``exhaustive`` — every set partition, optionally chunked across a
-  process pool;
+* ``exhaustive`` — every set partition;
 * ``pruned`` — branch-and-bound over partial partitions with admissible
   area/bitstream lower bounds; returns a subset of the feasible designs
   whose Pareto front is identical to the exhaustive one;
@@ -36,33 +35,29 @@ partition that reaches that state reads it back.  Objectives are summed
 from ints while placing; design objects are built only for feasible
 partitions, after the final sort.
 
-Two resilience layers sit on top (ISSUE 5):
+Anytime search sits on top: ``explore(..., deadline_s=...)`` (or
+``max_evaluations=...``) bounds the search with a
+:class:`~repro.core.budget.Budget`; the result is an
+:class:`ExploreResult` (a ``list`` subclass) carrying a
+``degraded``/``exhausted`` status, and ``mode="auto"`` escalates
+exhaustive → pruned → beam when the budget is too tight for complete
+enumeration.  An all-PRMs-share-one-PRR *incumbent* is evaluated first
+so even a severely cut search returns a usable design.
 
-* **anytime search** — ``explore(..., deadline_s=...)`` (or
-  ``max_evaluations=...``) bounds the search with a
-  :class:`~repro.core.budget.Budget`; the result is an
-  :class:`ExploreResult` (a ``list`` subclass) carrying a
-  ``degraded``/``exhausted`` status, and ``mode="auto"`` escalates
-  exhaustive → pruned → beam when the budget is too tight for complete
-  enumeration.  An all-PRMs-share-one-PRR *incumbent* is evaluated first
-  so even a severely cut search returns a usable design.
-* **worker-crash recovery** — the process-pool path retries chunks whose
-  worker died (``BrokenProcessPool``, killed pid, unpicklable result)
-  with :class:`~repro.faults.reliable.RetryPolicy` backoff, and a
-  circuit breaker trips the remaining chunks to in-process serial
-  evaluation after repeated pool breakage.
+Every mode evaluates in-process on one ``_PartitionEvaluator``; an
+exhaustive 8-PRM run takes tens of milliseconds, less than starting a
+process pool.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 from ..devices.fabric import Device, Region
-from ..errors import BackendBroken, InvalidInput, ReproError
+from ..errors import InvalidInput
 from ..obs import trace as _obs
 from .bitstream_model import cached_bitstream_bytes
 from .budget import Budget
@@ -83,7 +78,6 @@ __all__ = [
     "ExploreMode",
     "MAX_EXHAUSTIVE_PRMS",
     "DEFAULT_BEAM_WIDTH",
-    "POOL_BREAKER_THRESHOLD",
 ]
 
 #: Exploring more PRMs than this exhaustively would enumerate > 21k set
@@ -92,10 +86,6 @@ MAX_EXHAUSTIVE_PRMS = 8
 
 #: Partial partitions kept per level by the beam fallback.
 DEFAULT_BEAM_WIDTH = 64
-
-#: Process-pool breakages tolerated before the circuit breaker stops
-#: recreating pools and finishes the remaining chunks serially.
-POOL_BREAKER_THRESHOLD = 2
 
 ExploreMode = Literal["auto", "exhaustive", "pruned", "beam"]
 
@@ -108,7 +98,7 @@ def _record_search_metrics(
     evaluated: int,
     pruned: int,
     feasible: int,
-    evaluator: "_PartitionEvaluator | None",
+    evaluator: "_PartitionEvaluator",
 ) -> None:
     """Publish one strategy run's search statistics (no-op when disabled).
 
@@ -123,11 +113,10 @@ def _record_search_metrics(
     registry.counter("explore.designs_feasible").inc(feasible)
     # Step-memo reads feed the placement-cache counters, whose names every
     # trace document carries.
-    hits = registry.counter("explore.placement_cache_hits")
-    misses = registry.counter("explore.placement_cache_misses")
-    if evaluator is not None:
-        hits.inc(evaluator.lookups - evaluator.misses)
-        misses.inc(evaluator.misses)
+    registry.counter("explore.placement_cache_hits").inc(
+        evaluator.lookups - evaluator.misses
+    )
+    registry.counter("explore.placement_cache_misses").inc(evaluator.misses)
     span = _obs.current_span()
     if span is not None:
         span.set("strategy", strategy)
@@ -515,7 +504,6 @@ def explore(
     max_prrs: int | None = None,
     mode: ExploreMode = "auto",
     beam_width: int = DEFAULT_BEAM_WIDTH,
-    workers: int | None = None,
     deadline_s: float | None = None,
     max_evaluations: int | None = None,
 ) -> ExploreResult:
@@ -535,9 +523,7 @@ def explore(
       cheaper-to-pick strategy.
     * ``"exhaustive"`` — every set partition; raises
       :class:`~repro.errors.InvalidInput` above
-      :data:`MAX_EXHAUSTIVE_PRMS` PRMs.  With ``workers`` > 1 the
-      partition candidates are chunked across a process pool (with
-      worker-crash recovery — see :func:`_explore_parallel`).
+      :data:`MAX_EXHAUSTIVE_PRMS` PRMs.
     * ``"pruned"`` — branch-and-bound: partial partitions whose
       admissible lower bound is already strictly dominated by a completed
       design are abandoned.  Returns a subset of the exhaustive design
@@ -551,13 +537,15 @@ def explore(
     far instead of raising.  Without a budget the search behaves — and
     its outputs are byte-identical to — the pre-anytime code path.
 
-    ``workers`` only applies to the exhaustive path; the other modes are
-    sequential (their search order is the point).
+    ``max_prrs`` (>= 1) drops partitions with more PRRs than that.
+    Every mode runs sequentially in the calling thread.
     """
     if mode not in _EXPLORE_MODES:
         raise InvalidInput(
             f"unknown explore mode {mode!r}; valid: {', '.join(_EXPLORE_MODES)}"
         )
+    if max_prrs is not None and max_prrs < 1:
+        raise InvalidInput(f"max_prrs must be >= 1, got {max_prrs!r}")
     n = len(prms)
     budget = (
         Budget(deadline_s=deadline_s, max_evaluations=max_evaluations)
@@ -578,7 +566,6 @@ def explore(
                 controller_bytes_per_s=controller_bytes_per_s,
                 max_prrs=max_prrs,
                 beam_width=beam_width,
-                workers=workers,
             )
             result = ExploreResult(designs, mode=mode, status="exhausted")
         else:
@@ -590,7 +577,6 @@ def explore(
                 controller_bytes_per_s=controller_bytes_per_s,
                 max_prrs=max_prrs,
                 beam_width=beam_width,
-                workers=workers,
             )
         if window_before is not None:
             registry = _obs.metrics()
@@ -616,7 +602,6 @@ def _explore_anytime(
     controller_bytes_per_s: float,
     max_prrs: int | None,
     beam_width: int,
-    workers: int | None,
 ) -> ExploreResult:
     """Budgeted search: incumbent first, then the (escalated) strategy.
 
@@ -631,7 +616,7 @@ def _explore_anytime(
     """
     incumbent: PartitioningDesign | None = None
     probe_s = 0.0
-    if prms and (max_prrs is None or max_prrs >= 1):
+    if prms:
         probe_start = time.perf_counter()
         incumbent = evaluate_partition(
             device,
@@ -662,7 +647,6 @@ def _explore_anytime(
             controller_bytes_per_s=controller_bytes_per_s,
             max_prrs=max_prrs,
             beam_width=beam_width,
-            workers=workers,
             budget=budget,
         )
     if incumbent is not None and not any(
@@ -736,7 +720,6 @@ def _explore_dispatch(
     controller_bytes_per_s: float,
     max_prrs: int | None,
     beam_width: int,
-    workers: int | None,
     budget: Budget | None = None,
 ) -> list[PartitioningDesign]:
     n = len(prms)
@@ -746,15 +729,6 @@ def _explore_dispatch(
                 f"exhaustive exploration capped at {MAX_EXHAUSTIVE_PRMS} PRMs; "
                 f"got {n} — use mode='beam'/'pruned' (or mode='auto', which "
                 f"falls back to beam search automatically)"
-            )
-        if workers is not None and workers > 1:
-            return _explore_parallel(
-                device,
-                prms,
-                controller_bytes_per_s=controller_bytes_per_s,
-                max_prrs=max_prrs,
-                workers=workers,
-                budget=budget,
             )
         return _explore_exhaustive(
             device,
@@ -813,184 +787,6 @@ def _explore_exhaustive(
             pruned=0,
             feasible=len(designs),
             evaluator=evaluator,
-        )
-    return designs
-
-
-# -- parallel evaluation ------------------------------------------------------
-
-
-def _evaluate_partition_chunk(
-    device: Device,
-    prms: Sequence[PRMRequirements],
-    partitions: Sequence[Sequence[int]],
-    controller_bytes_per_s: float,
-) -> list[tuple[tuple[int, int, float], PartitioningDesign]]:
-    """Worker entry point: ``(objectives, design)`` of each feasible
-    partition of a chunk (partitions as PRM-subset bitmask tuples), in
-    chunk order."""
-    evaluator = _PartitionEvaluator(device, prms, controller_bytes_per_s)
-    rows = []
-    for masks in partitions:
-        row = evaluator.evaluate(masks)
-        if row is not None:
-            rows.append((row[0], evaluator.design(row[1])))
-    return rows
-
-
-#: The function worker processes run per chunk.  Module-level so tests and
-#: the soak benchmark can swap in fault-injecting evaluators (the crash
-#: path is otherwise unreachable on a healthy machine).
-_CHUNK_EVALUATOR = _evaluate_partition_chunk
-
-
-def _record_recovery_metrics(
-    *,
-    crashes: int,
-    retry_rounds: int,
-    circuit_tripped: bool,
-    serial_chunks: int,
-) -> None:
-    """Publish the worker-crash recovery counters (no-op when disabled)."""
-    registry = _obs.metrics()
-    if registry is None:
-        return
-    registry.counter("explore.worker_crashes").inc(crashes)
-    registry.counter("explore.pool_retry_rounds").inc(retry_rounds)
-    registry.counter("explore.pool_circuit_tripped").inc(
-        1 if circuit_tripped else 0
-    )
-    registry.counter("explore.chunks_serial_fallback").inc(serial_chunks)
-
-
-def _explore_parallel(
-    device: Device,
-    prms: Sequence[PRMRequirements],
-    *,
-    controller_bytes_per_s: float,
-    max_prrs: int | None,
-    workers: int,
-    budget: Budget | None = None,
-) -> list[PartitioningDesign]:
-    """Chunked evaluation on a process pool, with worker-crash recovery.
-
-    Failure handling (ISSUE 5): any chunk whose future raises — a worker
-    killed mid-chunk (``BrokenProcessPool``), an unpicklable result, an
-    exception escaping the chunk evaluator — is retried on a fresh pool
-    with :class:`~repro.faults.reliable.RetryPolicy` exponential backoff.
-    After :data:`POOL_BREAKER_THRESHOLD` pool breakages (or once retries
-    are exhausted) the circuit breaker stops paying pool-restart costs
-    and the remaining chunks run serially in-process, so a deterministic
-    crasher cannot take the search down; a chunk that fails even serially
-    raises :class:`~repro.errors.BackendBroken`.  Chunk results are
-    reassembled in submission order, so the pre-sort design order — and
-    therefore the final output — is identical to the sequential path.
-    """
-    from ..faults.reliable import RetryPolicy
-
-    partitions = [
-        masks
-        for masks in _mask_partitions(len(prms))
-        if max_prrs is None or len(masks) <= max_prrs
-    ]
-    chunk_count = min(len(partitions), workers * 4) or 1
-    chunk_size = -(-len(partitions) // chunk_count)
-    chunks = [
-        partitions[i : i + chunk_size]
-        for i in range(0, len(partitions), chunk_size)
-    ]
-    chunk_fn = _CHUNK_EVALUATOR
-    policy = RetryPolicy(
-        max_attempts=3, backoff_base_s=0.05, backoff_factor=2.0, backoff_cap_s=0.5
-    )
-    results: dict[int, list[tuple[tuple[int, int, float], PartitioningDesign]]] = {}
-    pending = list(range(len(chunks)))
-    crashes = 0
-    pool_breaks = 0
-    retry_rounds = 0
-    deadline_cut = False
-    for round_no in range(1, policy.max_attempts + 1):
-        if not pending or pool_breaks >= POOL_BREAKER_THRESHOLD:
-            break
-        if round_no > 1:
-            retry_rounds += 1
-            time.sleep(policy.backoff_seconds(round_no - 1))
-        failed: list[int] = []
-        pool_broke = False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                index: pool.submit(
-                    chunk_fn,
-                    device,
-                    list(prms),
-                    chunks[index],
-                    controller_bytes_per_s,
-                )
-                for index in pending
-            }
-            # Collect in submission order so the pre-sort design order
-            # matches the sequential path exactly.
-            for index in pending:
-                if budget is not None and budget.expired:
-                    deadline_cut = True
-                    for future in futures.values():
-                        future.cancel()
-                    break
-                try:
-                    results[index] = futures[index].result()
-                    if budget is not None:
-                        budget.charge(len(chunks[index]))
-                except Exception as exc:
-                    crashes += 1
-                    failed.append(index)
-                    if isinstance(exc, BrokenExecutor):
-                        pool_broke = True
-        if pool_broke:
-            pool_breaks += 1
-        pending = failed
-        if deadline_cut:
-            pending = []
-            break
-    circuit_tripped = pool_breaks >= POOL_BREAKER_THRESHOLD
-    serial_chunks = len(pending)
-    for index in pending:
-        # Retries/circuit breaker exhausted the pool path: finish the
-        # chunk in-process, where there is no worker to lose.
-        try:
-            results[index] = chunk_fn(
-                device,
-                list(prms),
-                chunks[index],
-                controller_bytes_per_s,
-            )
-            if budget is not None:
-                budget.charge(len(chunks[index]))
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise BackendBroken(
-                f"partition chunk {index} failed even in serial fallback "
-                f"after {crashes} worker crash(es)",
-                cause=repr(exc),
-            ) from exc
-    rows = [row for index in sorted(results) for row in results[index]]
-    rows.sort(key=itemgetter(0))
-    designs = [design for _, design in rows]
-    if _obs.enabled:
-        # Worker-local step memos cannot report back; candidate and
-        # feasibility counts still can.
-        _record_search_metrics(
-            strategy="parallel",
-            evaluated=len(partitions),
-            pruned=0,
-            feasible=len(designs),
-            evaluator=None,
-        )
-        _record_recovery_metrics(
-            crashes=crashes,
-            retry_rounds=retry_rounds,
-            circuit_tripped=circuit_tripped,
-            serial_chunks=serial_chunks,
         )
     return designs
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InvalidInput
+
 __all__ = [
     "ICAP_VIRTEX5_BYTES_PER_S",
     "ReconfigEstimate",
@@ -67,13 +69,13 @@ def estimate_reconfig_time(
         Claus et al. shared-resource model.  0 means a dedicated port.
     """
     if bitstream_bytes < 0:
-        raise ValueError("bitstream_bytes must be non-negative")
+        raise InvalidInput("bitstream_bytes must be non-negative")
     if controller_bytes_per_s <= 0:
-        raise ValueError("controller throughput must be positive")
+        raise InvalidInput("controller throughput must be positive")
     if media_bytes_per_s is not None and media_bytes_per_s <= 0:
-        raise ValueError("media throughput must be positive")
+        raise InvalidInput("media throughput must be positive")
     if not 0.0 <= busy_factor < 1.0:
-        raise ValueError("busy_factor must be in [0, 1)")
+        raise InvalidInput("busy_factor must be in [0, 1)")
 
     effective_controller = controller_bytes_per_s * (1.0 - busy_factor)
     bottleneck = (

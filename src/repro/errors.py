@@ -189,10 +189,10 @@ class Overloaded(ReproError):
 
 
 class BackendBroken(ReproError, RuntimeError):
-    """A worker backend (process pool, subprocess) died unrecoverably.
+    """A worker backend (a cluster shard process) failed unrecoverably.
 
-    Raised only after retry/backoff *and* the serial fallback failed;
-    ``cause`` carries the last underlying exception's text.
+    Raised for a shard failure outside the typed taxonomy; ``cause``
+    carries the underlying error's code or text.
     """
 
     code = "backend_broken"

@@ -45,13 +45,9 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "explore.branches_pruned",
         "explore.budget_cutoffs",
         "explore.candidates_evaluated",
-        "explore.chunks_serial_fallback",
         "explore.designs_feasible",
         "explore.placement_cache_hits",
         "explore.placement_cache_misses",
-        "explore.pool_circuit_tripped",
-        "explore.pool_retry_rounds",
-        "explore.worker_crashes",
         "fabric.admission_failures",
         "fabric.admissions",
         "fabric.columns_retired",

@@ -271,6 +271,14 @@ class ClusterService:
 
     # -- submission ----------------------------------------------------------
 
+    @staticmethod
+    def _not_accepting() -> Overloaded:
+        return Overloaded(
+            "cluster is not accepting requests (stopped or never started)",
+            retry_after_s=None,
+            queue_depth=0,
+        )
+
     def submit(self, request: EvaluateRequest) -> Ticket:
         """Serve one evaluate request: cache, coalesce, or dispatch.
 
@@ -285,11 +293,7 @@ class ClusterService:
                 f"CostModelService)"
             )
         if not self._accepting:
-            raise Overloaded(
-                "cluster is not accepting requests (stopped or never started)",
-                retry_after_s=None,
-                queue_depth=0,
-            )
+            raise self._not_accepting()
         from ..core.api import _resolve_device
 
         device = _resolve_device(request.device)
@@ -321,6 +325,10 @@ class ClusterService:
                 ticket._resolve(cached)
                 return ticket
             with self._lock:
+                # stop() flips _accepting under this lock: re-check here so
+                # nothing is admitted after its leftover sweep.
+                if not self._accepting:
+                    raise self._not_accepting()
                 req_id = self._by_key.get(key)
                 if req_id is not None:
                     pending = self._pending[req_id]

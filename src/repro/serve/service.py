@@ -25,10 +25,9 @@ embed them:
   evaluation so the error surface (typed errors included) is unchanged.
   Set ``max_batch=1`` to disable.
 
-Worker threads only ever *call into* the library; process-level crash
-recovery for parallel exploration lives in
-:func:`repro.core.explorer._explore_parallel` and composes with this
-layer unchanged.
+Worker threads only ever *call into* the library, which runs in-process;
+process-crash supervision lives in :class:`repro.serve.ClusterService`,
+whose shards each embed one of these services.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class ExploreRequest:
     mode: str = "auto"
     max_prrs: int | None = None
     beam_width: int | None = None
-    workers: int | None = None
     max_evaluations: int | None = None
     deadline_s: float | None = None
 
@@ -149,7 +147,6 @@ class ExploreRequest:
         kwargs = {
             "mode": self.mode,
             "max_prrs": self.max_prrs,
-            "workers": self.workers,
             "max_evaluations": self.max_evaluations,
         }
         if self.beam_width is not None:

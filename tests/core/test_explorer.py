@@ -9,6 +9,7 @@ from repro.core.explorer import (
     pareto_front,
 )
 from repro.devices.catalog import XC5VLX110T, XC6VLX75T
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -101,6 +102,20 @@ class TestExplore:
     def test_max_prrs_filter(self, v6_prms):
         designs = explore(XC6VLX75T, v6_prms, max_prrs=1)
         assert designs and all(d.num_prrs == 1 for d in designs)
+
+    @pytest.mark.parametrize("max_prrs", [0, -1])
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "pruned", "beam"])
+    def test_max_prrs_below_one_rejected(self, v5_prms, mode, max_prrs):
+        with pytest.raises(InvalidInput, match="max_prrs"):
+            explore(XC5VLX110T, v5_prms, mode=mode, max_prrs=max_prrs)
+        with pytest.raises(InvalidInput, match="max_prrs"):
+            explore(
+                XC5VLX110T, v5_prms, mode=mode, max_prrs=max_prrs, deadline_s=5.0
+            )
+
+    def test_nonpositive_controller_rate_is_typed(self, v5_prms):
+        with pytest.raises(InvalidInput, match="controller throughput"):
+            explore(XC5VLX110T, v5_prms, controller_bytes_per_s=0)
 
     def test_too_many_prms_fall_back_to_beam(self, v5_prms):
         # mode="auto" degrades to beam search above MAX_EXHAUSTIVE_PRMS

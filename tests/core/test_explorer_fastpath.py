@@ -4,8 +4,7 @@
   enumeration on the paper's 3-PRM workload / XC5VLX110T;
 * a 10-PRM exploration completes via the beam fallback instead of
   raising, and its best design is no worse than exhaustive search's on
-  an 8-PRM subset;
-* the parallel evaluator returns exactly the serial result list.
+  an 8-PRM subset.
 """
 
 import pytest
@@ -98,17 +97,3 @@ class TestBeamFallback:
         designs = explore(WIDE_DEVICE, prms, mode="beam", beam_width=1)
         assert designs
         assert len({tuple(sorted(d.objectives for d in designs))}) == 1
-
-
-class TestParallelEvaluator:
-    def test_workers_match_serial(self, v5_prms):
-        serial = explore(XC5VLX110T, v5_prms, mode="exhaustive")
-        parallel = explore(
-            XC5VLX110T, v5_prms, mode="exhaustive", workers=2
-        )
-        assert parallel == serial
-
-    def test_workers_one_is_serial_path(self, v5_prms):
-        assert explore(XC5VLX110T, v5_prms, workers=1) == explore(
-            XC5VLX110T, v5_prms
-        )

@@ -9,9 +9,8 @@ an LRU.  Kept as the oracle for
 explorer perf gate.  Nothing under ``src/`` imports this module.
 
 * :func:`iter_set_partitions` — the recursive partition enumeration;
-* :func:`explore` — the four strategies (``exhaustive``, ``pruned``,
-  ``beam``, and ``workers`` > 1 chunking, evaluated in-process) without
-  the anytime budget layer;
+* :func:`explore` — the three strategies (``exhaustive``, ``pruned``,
+  ``beam``) without the anytime budget layer;
 * :func:`evaluate_partition`, :class:`PlacementCache`, :func:`group_key`,
   :func:`group_lower_bounds` (with its LRU and
   :func:`clear_bounds_cache`);
@@ -179,14 +178,9 @@ def explore(
     max_prrs: int | None = None,
     mode: str = "exhaustive",
     beam_width: int = DEFAULT_BEAM_WIDTH,
-    workers: int | None = None,
 ) -> list[PartitioningDesign]:
-    """Budget-free dispatch over the four strategies."""
+    """Budget-free dispatch over the three strategies."""
     if mode == "exhaustive":
-        if workers is not None and workers > 1:
-            return _explore_parallel(
-                device, prms, controller_bytes_per_s, max_prrs, workers
-            )
         return _explore_exhaustive(device, prms, controller_bytes_per_s, max_prrs)
     if mode == "pruned":
         return _explore_pruned(device, prms, controller_bytes_per_s, max_prrs)
@@ -211,41 +205,6 @@ def _explore_exhaustive(device, prms, controller_bytes_per_s, max_prrs):
         )
         if design is not None:
             designs.append(design)
-    designs.sort(key=lambda d: d.objectives)
-    return designs
-
-
-def _evaluate_partition_chunk(device, prms, partitions, controller_bytes_per_s):
-    cache = PlacementCache()
-    designs: list[PartitioningDesign] = []
-    for partition in partitions:
-        design = evaluate_partition(
-            device,
-            [[prms[i] for i in group] for group in partition],
-            controller_bytes_per_s=controller_bytes_per_s,
-            placement_cache=cache,
-        )
-        if design is not None:
-            designs.append(design)
-    return designs
-
-
-def _explore_parallel(device, prms, controller_bytes_per_s, max_prrs, workers):
-    """The pool path's chunking, with each chunk evaluated in-process."""
-    partitions = [
-        [tuple(group) for group in partition]
-        for partition in iter_set_partitions(range(len(prms)))
-        if max_prrs is None or len(partition) <= max_prrs
-    ]
-    chunk_count = min(len(partitions), workers * 4) or 1
-    chunk_size = -(-len(partitions) // chunk_count)
-    designs = [
-        design
-        for i in range(0, len(partitions), chunk_size)
-        for design in _evaluate_partition_chunk(
-            device, list(prms), partitions[i : i + chunk_size], controller_bytes_per_s
-        )
-    ]
     designs.sort(key=lambda d: d.objectives)
     return designs
 

@@ -125,14 +125,6 @@ def test_beam_matches_reference(device, prms, beam_width):
     )
 
 
-@given(DEVICES, prm_sets(min_size=2, max_size=5))
-@settings(max_examples=4, deadline=None)
-def test_worker_pool_matches_reference(device, prms):
-    assert explore(device, prms, mode="exhaustive", workers=2) == reference.explore(
-        device, prms, workers=2
-    )
-
-
 @given(DEVICES, prm_sets(max_size=6), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_evaluate_partition_matches_reference(device, prms, rng):

@@ -311,6 +311,19 @@ class TestBackpressure:
             _fir(), "xc5vlx110t"
         )
 
+    def test_stop_between_accept_check_and_admit_rejects(self, monkeypatch):
+        cluster = ClusterService(ClusterConfig(shards=1)).start()
+
+        def stop_then_miss(key, device):
+            cluster.stop()
+            return None
+
+        monkeypatch.setattr(cluster.cache, "get", stop_then_miss)
+        with pytest.raises(Overloaded):
+            cluster.submit(EvaluateRequest(_fir(), "xc5vlx110t"))
+        assert cluster.stats()["accepted"] == 0
+        assert not cluster._inline_threads
+
 
 class TestDurability:
     def test_corrupted_disk_entry_recomputed_not_served(self, tmp_path):

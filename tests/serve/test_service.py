@@ -105,6 +105,27 @@ class TestHappyPath:
             with pytest.raises(InvalidInput, match="valid choices"):
                 ticket.result(timeout=30)
 
+    def test_untyped_failure_rejects_only_its_ticket(self, monkeypatch):
+        real_run = ExploreRequest.run
+        threads = []
+
+        def run_once_broken(self, remaining_s):
+            threads.append(threading.current_thread())
+            if len(threads) == 1:
+                raise RuntimeError("evaluator bug")
+            return real_run(self, remaining_s)
+
+        monkeypatch.setattr(ExploreRequest, "run", run_once_broken)
+        request = ExploreRequest(XC5VLX110T, v5_prms())
+        with CostModelService(ServiceConfig(workers=1)) as service:
+            broken = service.submit(request)
+            healthy = service.submit(request)
+            with pytest.raises(RuntimeError, match="evaluator bug"):
+                broken.result(timeout=30)
+            designs = healthy.result(timeout=60)
+        assert designs == real_run(request, None)
+        assert len(threads) == 2 and threads[0] is threads[1]
+
     def test_unstarted_and_stopped_service_refuse(self):
         service = CostModelService()
         with pytest.raises(Overloaded):

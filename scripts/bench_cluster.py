@@ -167,7 +167,6 @@ def run_soak(*, requests: int, shards: int, chaos: bool) -> dict:
         chaos_plans = tuple(plans)
     config = ClusterConfig(
         shards=shards,
-        shard_workers=2,
         shard_queue_depth=16,
         probe_interval_s=0.1,
         hedge_after_s=2.0,

@@ -546,6 +546,8 @@ def explore(
         )
     if max_prrs is not None and max_prrs < 1:
         raise InvalidInput(f"max_prrs must be >= 1, got {max_prrs!r}")
+    if beam_width < 1:
+        raise InvalidInput(f"beam_width must be >= 1, got {beam_width!r}")
     n = len(prms)
     budget = (
         Budget(deadline_s=deadline_s, max_evaluations=max_evaluations)
@@ -961,8 +963,6 @@ def _explore_beam(
     far (only the final level produces any) are returned, and the
     anytime wrapper's incumbent guarantees a non-empty overall result.
     """
-    if beam_width < 1:
-        raise InvalidInput("beam_width must be >= 1")
     n = len(prms)
     if n == 0:
         return []

@@ -9,10 +9,10 @@
   in-memory LRU over a CRC-verified, atomically-written persistent
   tier; corrupted or truncated entries are quarantined and recomputed.
 * :mod:`~repro.serve.shard` / :mod:`~repro.serve.cluster` —
-  :class:`ClusterService`: N supervised process shards (each running a
-  :class:`CostModelService` loop) behind a coalescing, cache-fronted,
-  health-checked front-end with hedged re-dispatch, circuit-breaker
-  restarts, and in-process graceful degradation.
+  :class:`ClusterService`: N supervised one-loop process shards (read a
+  request, evaluate it, post the answer) behind a coalescing,
+  cache-fronted, health-checked front-end with hedged re-dispatch,
+  circuit-breaker restarts, and bounded in-process graceful degradation.
 """
 
 from .cache import (

@@ -1,11 +1,11 @@
 """Self-healing sharded serving tier over the cost models.
 
-:class:`ClusterService` is the multi-process big sibling of
-:class:`~repro.serve.service.CostModelService` (which each shard runs
-internally).  The front-end accepts
-:class:`~repro.serve.service.EvaluateRequest` submissions and gives the
-following guarantees — the external behavior is always a result or a
-typed :mod:`repro.errors` outcome, never a hang or a traceback:
+:class:`ClusterService` runs N one-loop shard processes
+(:mod:`repro.serve.shard`) behind a front-end that owns every serving
+guarantee.  It accepts :class:`~repro.serve.service.EvaluateRequest`
+submissions and gives the following guarantees — the external behavior
+is always a result or a typed :mod:`repro.errors` outcome, never a hang
+or a traceback:
 
 * **content-addressed caching** — every request is keyed by
   :func:`~repro.serve.cache.cache_key` (device + family constants + PRM
@@ -32,7 +32,8 @@ typed :mod:`repro.errors` outcome, never a hang or a traceback:
   answer wins and duplicates are deduplicated on completion.
 * **graceful degradation** — with every shard down and the breaker
   exhausted, requests are evaluated in-process (slower, still correct,
-  still typed).
+  still typed), at most ``shard_queue_depth`` at a time; beyond that
+  the submit sheds with the same jittered ``Overloaded``.
 """
 
 from __future__ import annotations
@@ -47,21 +48,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.api import CostModelResult
-from ..core.reconfig_model import ICAP_VIRTEX5_BYTES_PER_S
 from ..devices.fabric import Device
 from ..errors import DeadlineExceeded, InvalidInput, Overloaded, ReproError
 from ..obs import trace as _obs
 from .cache import TieredResultCache, cache_key, decode_result
-from .service import EvaluateRequest, ServiceConfig, Ticket, jittered_retry_after
-from .shard import ShardHandle, ShardHealth, rebuild_error
+from .service import EvaluateRequest, Ticket, _count, jittered_retry_after
+from .shard import ShardHandle, ShardHealth, evaluate_outcome, rebuild_error
 
 __all__ = ["ClusterConfig", "ClusterService"]
-
-
-def _count(name: str, n: int = 1) -> None:
-    registry = _obs.metrics()
-    if registry is not None:
-        registry.counter(name).inc(n)
 
 
 def _gauge(name: str, value: float) -> None:
@@ -75,8 +69,7 @@ class ClusterConfig:
     """Topology, supervision and caching knobs for :class:`ClusterService`."""
 
     shards: int = 2
-    shard_workers: int = 2  #: threads inside each shard's CostModelService
-    shard_queue_depth: int = 16  #: per-shard in-flight bound (backpressure)
+    shard_queue_depth: int = 16  #: per-shard (and inline) in-flight bound
     probe_interval_s: float = 0.25  #: health-probe cadence
     probe_timeout_s: float = 1.0  #: unanswered probe => one miss
     probe_misses_down: int = 3  #: consecutive misses before the breaker trips
@@ -88,16 +81,11 @@ class ClusterConfig:
     drain_timeout_s: float = 30.0
     cache_memory_entries: int = 1024
     cache_dir: str | None = None  #: None disables the persistent tier
-    max_batch: int = 8  #: forwarded to each shard's inner service
     chaos: tuple = ()  #: per-shard ShardChaos plans (fault injection)
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise InvalidInput(f"shards must be >= 1, got {self.shards}")
-        if self.shard_workers < 1:
-            raise InvalidInput(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
         if self.shard_queue_depth < 1:
             raise InvalidInput(
                 f"shard_queue_depth must be >= 1, got {self.shard_queue_depth}"
@@ -119,8 +107,6 @@ class ClusterConfig:
             raise InvalidInput("drain_timeout_s must be positive")
         if self.cache_memory_entries < 1:
             raise InvalidInput("cache_memory_entries must be >= 1")
-        if self.max_batch < 1:
-            raise InvalidInput(f"max_batch must be >= 1, got {self.max_batch}")
         if self.chaos and len(self.chaos) != self.shards:
             raise InvalidInput(
                 f"chaos must list one plan per shard "
@@ -136,7 +122,6 @@ class _Pending:
     key: str
     request: EvaluateRequest
     device: Device
-    rate: float
     tickets: list[Ticket]
     created_at: float
     deadline_s: float | None
@@ -162,16 +147,9 @@ class ClusterService:
     def __init__(self, config: ClusterConfig | None = None) -> None:
         self.config = config if config is not None else ClusterConfig()
         ctx = multiprocessing.get_context()
-        inner = ServiceConfig(
-            workers=self.config.shard_workers,
-            queue_depth=self.config.shard_queue_depth,
-            max_batch=self.config.max_batch,
-            drain_timeout_s=self.config.drain_timeout_s,
-        )
         self.shards: list[ShardHandle] = [
             ShardHandle(
                 shard_id=index,
-                service_config=inner,
                 ctx=ctx,
                 queue_depth=self.config.shard_queue_depth,
                 chaos=(self.config.chaos[index] if self.config.chaos else None),
@@ -191,6 +169,7 @@ class ClusterService:
         self._stop_event = threading.Event()
         self._control: threading.Thread | None = None
         self._inline_threads: list[threading.Thread] = []
+        self._inline_inflight = 0
         self._rng = random.Random()
         self._stats = {
             "accepted": 0,
@@ -297,11 +276,6 @@ class ClusterService:
         from ..core.api import _resolve_device
 
         device = _resolve_device(request.device)
-        rate = (
-            request.controller_bytes_per_s
-            if request.controller_bytes_per_s is not None
-            else ICAP_VIRTEX5_BYTES_PER_S
-        )
         deadline_s = (
             request.deadline_s
             if request.deadline_s is not None
@@ -309,7 +283,7 @@ class ClusterService:
         )
         if deadline_s is not None and deadline_s <= 0:
             raise InvalidInput(f"deadline_s must be positive, got {deadline_s}")
-        key = cache_key(request.prm, device, rate)
+        key = cache_key(request.prm, device, request.rate)
         with _obs.trace_span(
             "cluster.dispatch", device=device.name, prm=request.prm.name
         ) as span:
@@ -344,14 +318,16 @@ class ClusterService:
                     key=key,
                     request=request,
                     device=device,
-                    rate=rate,
                     tickets=[ticket],
                     created_at=time.monotonic(),
                     deadline_s=deadline_s,
                 )
                 shard = self._choose_shard(device.name)
                 if shard is None:
-                    if self._all_shards_retired():
+                    if (
+                        self._all_shards_retired()
+                        and self._inline_inflight < self.config.shard_queue_depth
+                    ):
                         span.set("outcome", "inline_fallback")
                         self._admit(pending)
                         self._start_inline(pending)
@@ -365,7 +341,8 @@ class ClusterService:
                         self._rng,
                     )
                     raise Overloaded(
-                        f"every live shard is at its in-flight bound "
+                        f"every live shard (or, with all retired, the "
+                        f"inline fallback) is at its in-flight bound "
                         f"({self.config.shard_queue_depth}); retry after "
                         f"{retry_after:.3f}s",
                         retry_after_s=retry_after,
@@ -437,6 +414,7 @@ class ClusterService:
         """Fall back to an in-process thread.  Caller holds ``self._lock``."""
         self._stats["inline_fallbacks"] += 1
         _count("serve.cluster.inline_fallbacks")
+        self._inline_inflight += 1
         thread = threading.Thread(
             target=self._run_inline, args=(pending,), daemon=True
         )
@@ -448,20 +426,29 @@ class ClusterService:
 
     def _run_inline(self, pending: _Pending) -> None:
         """Last-resort in-process evaluation (every shard is gone)."""
+        outcome = evaluate_outcome(pending.request)
+        with self._lock:
+            self._inline_inflight -= 1
+            self._settle(pending, outcome)
+
+    def _settle(self, pending: _Pending, outcome: tuple) -> None:
+        """Resolve *pending* from an :func:`evaluate_outcome` tuple.
+
+        An entry that does not decode is never served; it resolves as a
+        typed :class:`~repro.errors.BackendBroken`.  Caller holds
+        ``self._lock``.
+        """
+        if outcome[0] == "err":
+            self._resolve(pending, error=rebuild_error(*outcome[1:]))
+            return
         try:
-            result = pending.request.run(None)
-        except ReproError as error:
-            with self._lock:
-                self._resolve(pending, error=error)
-        except Exception as error:  # noqa: BLE001 - typed wall
-            with self._lock:
-                self._resolve(
-                    pending,
-                    error=rebuild_error("__unhandled__", repr(error), {}),
-                )
-        else:
-            with self._lock:
-                self._resolve(pending, result=result)
+            result = decode_result(outcome[1], pending.device)
+        except Exception as error:  # analysis: allow(typed-errors): an entry that does not decode is never served
+            self._resolve(
+                pending, error=rebuild_error("__unhandled__", repr(error), {})
+            )
+            return
+        self._resolve(pending, result=result, entry=outcome[1])
 
     # -- resolution (hold self._lock) ----------------------------------------
 
@@ -481,12 +468,7 @@ class ClusterService:
         if not pending.dispatches:
             self._pending.pop(pending.req_id, None)
         if result is not None:
-            self.cache.put(
-                pending.key,
-                result,
-                entry,
-                controller_bytes_per_s=pending.rate,
-            )
+            self.cache.put(pending.key, result, entry)
             self._stats["completed"] += len(pending.tickets)
             _count("serve.cluster.completed", len(pending.tickets))
             for ticket in pending.tickets:
@@ -554,17 +536,7 @@ class ClusterService:
                 else:
                     self._stats["hedges_won"] += 1
                     _count("serve.cluster.hedges_won")
-            if kind == "ok":
-                entry = message[3]
-                try:
-                    result = decode_result(entry, pending.device)
-                except Exception:  # analysis: allow(typed-errors): corrupt cache entry is recomputed inline, never served
-                    self._start_inline(pending)
-                    return
-                self._resolve(pending, result=result, entry=entry)
-            else:
-                _, _, _, code, text, details = message
-                self._resolve(pending, error=rebuild_error(code, text, details))
+            self._settle(pending, (kind, *message[3:]))
 
     def _probe_and_supervise(self, now: float) -> None:
         for shard in self.shards:

@@ -27,7 +27,7 @@ embed them:
 
 Worker threads only ever *call into* the library, which runs in-process;
 process-crash supervision lives in :class:`repro.serve.ClusterService`,
-whose shards each embed one of these services.
+whose shards are plain one-loop processes that embed no service.
 """
 
 from __future__ import annotations
@@ -124,11 +124,17 @@ class EvaluateRequest:
     controller_bytes_per_s: float | None = None
     deadline_s: float | None = None
 
+    @property
+    def rate(self) -> float:
+        """Controller throughput in bytes/s; the ICAP default when unset."""
+        if self.controller_bytes_per_s is None:
+            return ICAP_VIRTEX5_BYTES_PER_S
+        return self.controller_bytes_per_s
+
     def run(self, remaining_s: float | None) -> CostModelResult:
-        kwargs = {}
-        if self.controller_bytes_per_s is not None:
-            kwargs["controller_bytes_per_s"] = self.controller_bytes_per_s
-        return evaluate_prm(self.prm, self.device, **kwargs)
+        return evaluate_prm(
+            self.prm, self.device, controller_bytes_per_s=self.rate
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,16 +421,10 @@ class CostModelService:
             self._run_job(live[0])
             return
         try:
-            rates = [
-                job.request.controller_bytes_per_s
-                if job.request.controller_bytes_per_s is not None
-                else ICAP_VIRTEX5_BYTES_PER_S
-                for job in live
-            ]
             scored = batch_evaluate(
                 [job.request.prm for job in live],
                 live[0].request.device,
-                controller_bytes_per_s=rates,
+                controller_bytes_per_s=[job.request.rate for job in live],
             )
         except Exception:  # analysis: allow(typed-errors): batch is an optimization; every ticket re-runs on the scalar path
             _count("serve.batch_fallbacks")

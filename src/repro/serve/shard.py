@@ -1,9 +1,10 @@
 """One cluster shard: a supervised worker process + its parent handle.
 
-The worker process (:func:`_shard_main`) runs the *existing*
-:class:`~repro.serve.service.CostModelService` loop — bounded queue,
-batch coalescing, typed errors — and speaks a tiny picklable message
-protocol over two ``multiprocessing`` queues:
+The worker process (:func:`_shard_main`) is one loop — read a message,
+evaluate the request, post the answer — and leaves backpressure,
+deadlines, shedding and hedging to the parent
+:class:`~repro.serve.cluster.ClusterService`.  It speaks a tiny
+picklable message protocol over two ``multiprocessing`` queues:
 
 parent -> shard (request queue, parent is sole writer)
     ``("req", req_id, EvaluateRequest)`` | ``("probe", probe_id, sent_s)``
@@ -20,7 +21,9 @@ object graphs — the same bytes the disk tier persists, so the cached
 path and the fresh path are identical by construction.  Errors cross as
 ``(code, message, details)`` triples and are rebuilt from the typed
 taxonomy on the parent side (:func:`rebuild_error`); anything outside
-the taxonomy becomes :class:`~repro.errors.BackendBroken`.
+the taxonomy becomes :class:`~repro.errors.BackendBroken`.  The shard
+loop and the cluster's in-process fallback share one typed-error wall,
+:func:`evaluate_outcome`.
 
 Each shard owns its own response queue so a SIGKILLed worker can never
 die holding a queue lock another shard needs.
@@ -29,20 +32,18 @@ die holding a queue lock another shard needs.
 from __future__ import annotations
 
 import enum
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .. import errors as _errors
-from ..core.reconfig_model import ICAP_VIRTEX5_BYTES_PER_S
 from ..errors import BackendBroken, ReproError
 from .cache import encode_result
-from .service import CostModelService, ServiceConfig
 
 __all__ = [
     "ShardHealth",
     "ShardHandle",
+    "evaluate_outcome",
     "rebuild_error",
 ]
 
@@ -58,10 +59,6 @@ _ERROR_CLASSES = {
         _errors.BackendBroken,
     )
 }
-
-#: How long a shard-side responder waits on an inner-service ticket
-#: before declaring the request lost.  Far above any model runtime.
-_RESPONDER_TIMEOUT_S = 300.0
 
 
 def _json_safe(details: dict[str, Any]) -> dict[str, Any]:
@@ -85,106 +82,54 @@ def rebuild_error(code: str, message: str, details: dict[str, Any]) -> ReproErro
         return cls(message)
 
 
+def evaluate_outcome(request) -> tuple:
+    """Evaluate one request and map its outcome onto the wire.
+
+    Returns ``("ok", encoded_entry)`` or ``("err", code, message,
+    details)``: a :class:`~repro.errors.ReproError` keeps its ``code``
+    and JSON-safe ``details``; any other exception becomes
+    ``"__unhandled__"``, which :func:`rebuild_error` turns into
+    :class:`~repro.errors.BackendBroken`.
+    """
+    try:
+        return ("ok", encode_result(request.run(None), request.rate))
+    except ReproError as error:
+        return ("err", error.code, error.message, _json_safe(error.details))
+    except Exception as error:  # noqa: BLE001 - must answer, typed or not
+        return ("err", "__unhandled__", repr(error), {})
+
+
 # -- worker process ----------------------------------------------------------
 
 
-def _respond(response_q, shard_id: int, req_id: int, request, ticket) -> None:
-    """Wait for one inner-service ticket and post its outcome."""
-    rate = (
-        request.controller_bytes_per_s
-        if request.controller_bytes_per_s is not None
-        else ICAP_VIRTEX5_BYTES_PER_S
-    )
-    try:
-        result = ticket.result(timeout=_RESPONDER_TIMEOUT_S)
-    except ReproError as error:
-        response_q.put(
-            (
-                "err",
-                shard_id,
-                req_id,
-                error.code,
-                error.message,
-                _json_safe(error.details),
-            )
-        )
-        return
-    except Exception as error:  # noqa: BLE001 - must answer, typed or not
-        response_q.put(
-            ("err", shard_id, req_id, "__unhandled__", repr(error), {})
-        )
-        return
-    try:
-        entry = encode_result(result, rate)
-    except Exception as error:  # noqa: BLE001
-        response_q.put(
-            ("err", shard_id, req_id, "__unhandled__", repr(error), {})
-        )
-        return
-    response_q.put(("ok", shard_id, req_id, entry))
-
-
-def _shard_main(
-    shard_id: int,
-    request_q,
-    response_q,
-    service_config: ServiceConfig,
-    chaos,
-) -> None:
+def _shard_main(shard_id: int, request_q, response_q, chaos) -> None:
     """Worker-process entry point; importable so spawn start works too."""
     import os
     import signal
 
-    service = CostModelService(service_config).start()
     handled = 0
-    responders: list[threading.Thread] = []
-    try:
-        while True:
-            message = request_q.get()
-            if message is None:
-                break
-            kind = message[0]
-            if kind == "probe":
-                if chaos is not None and chaos.probe_stall_s > 0:
-                    time.sleep(chaos.probe_stall_s)
-                response_q.put(("probe", shard_id, message[1], message[2]))
-                continue
-            req_id, request = message[1], message[2]
-            if (
-                chaos is not None
-                and chaos.crash_after_requests is not None
-                and handled >= chaos.crash_after_requests
-            ):
-                os.kill(os.getpid(), signal.SIGKILL)
-            handled += 1
-            if chaos is not None and chaos.request_delay_s > 0:
-                time.sleep(chaos.request_delay_s)
-            try:
-                ticket = service.submit(request)
-            except ReproError as error:
-                response_q.put(
-                    (
-                        "err",
-                        shard_id,
-                        req_id,
-                        error.code,
-                        error.message,
-                        _json_safe(error.details),
-                    )
-                )
-                continue
-            thread = threading.Thread(
-                target=_respond,
-                args=(response_q, shard_id, req_id, request, ticket),
-                daemon=True,
-            )
-            thread.start()
-            responders.append(thread)
-            responders = [t for t in responders if t.is_alive()]
-    finally:
-        for thread in responders:
-            thread.join(timeout=service_config.drain_timeout_s)
-        service.stop(drain=True)
+    while True:
+        message = request_q.get()
+        if message is None:
+            return
+        kind = message[0]
+        if kind == "probe":
+            if chaos is not None and chaos.probe_stall_s > 0:
+                time.sleep(chaos.probe_stall_s)
+            response_q.put(("probe", shard_id, message[1], message[2]))
+            continue
+        req_id, request = message[1], message[2]
+        if (
+            chaos is not None
+            and chaos.crash_after_requests is not None
+            and handled >= chaos.crash_after_requests
+        ):
+            os.kill(os.getpid(), signal.SIGKILL)
+        handled += 1
+        if chaos is not None and chaos.request_delay_s > 0:
+            time.sleep(chaos.request_delay_s)
+        outcome = evaluate_outcome(request)
+        response_q.put((outcome[0], shard_id, req_id, *outcome[1:]))
 
 
 # -- parent-side handle ------------------------------------------------------
@@ -203,7 +148,6 @@ class ShardHandle:
     """Parent-side view of one shard: process, queues, health, load."""
 
     shard_id: int
-    service_config: ServiceConfig
     ctx: Any  #: multiprocessing context
     queue_depth: int
     chaos: Any = None  #: optional ShardChaos, forwarded to the worker
@@ -218,7 +162,6 @@ class ShardHandle:
     last_probe_sent_s: float = 0.0
     probe_latency_s: float = 0.0
     generation: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     def spawn(self) -> None:
         """(Re)start the worker process with fresh queues."""
@@ -227,13 +170,7 @@ class ShardHandle:
         self.process = self.ctx.Process(
             target=_shard_main,
             name=f"repro-shard-{self.shard_id}",
-            args=(
-                self.shard_id,
-                self.request_q,
-                self.response_q,
-                self.service_config,
-                self.chaos,
-            ),
+            args=(self.shard_id, self.request_q, self.response_q, self.chaos),
             daemon=True,
         )
         self.process.start()

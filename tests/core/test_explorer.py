@@ -113,6 +113,18 @@ class TestExplore:
                 XC5VLX110T, v5_prms, mode=mode, max_prrs=max_prrs, deadline_s=5.0
             )
 
+    @pytest.mark.parametrize("beam_width", [0, -1])
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "pruned", "beam"])
+    def test_beam_width_below_one_rejected(self, v5_prms, mode, beam_width):
+        # Rejected in every mode, not only where the beam would run.
+        with pytest.raises(InvalidInput, match="beam_width"):
+            explore(XC5VLX110T, v5_prms, mode=mode, beam_width=beam_width)
+        with pytest.raises(InvalidInput, match="beam_width"):
+            explore(
+                XC5VLX110T, v5_prms, mode=mode, beam_width=beam_width,
+                deadline_s=5.0,
+            )
+
     def test_nonpositive_controller_rate_is_typed(self, v5_prms):
         with pytest.raises(InvalidInput, match="controller throughput"):
             explore(XC5VLX110T, v5_prms, controller_bytes_per_s=0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -326,17 +327,20 @@ def batch_evaluate(
 ) -> BatchCostResult:
     """Run both cost models for N PRMs on one device in one array pass.
 
-    The batch analogue of calling :func:`evaluate_prm` in a loop:
-    geometry search (Fig. 1), bitstream size (eq. (18)) and
-    reconfiguration time are each evaluated once over the whole
-    ``(N, device.rows)`` candidate grid via :mod:`repro.core.batch`.
+    The batch analogue of calling :func:`evaluate_prm` in a loop: the
+    geometry search (Fig. 1) runs once over the whole
+    ``(N, device.rows)`` candidate grid via :mod:`repro.core.batch`;
+    bitstream size (eq. (18)) and reconfiguration time are computed for
+    the N selected geometries (over the grid only when
+    ``objective="bitstream"`` ranks by bytes).
     ``controller_bytes_per_s`` may be one rate for the batch or a
     length-N sequence (one per PRM, as the serving layer supplies).
     Per-member infeasibility never raises — see :class:`BatchCostResult`.
     """
     prms = tuple(prms)
-    for prm in prms:
-        _validate_prm(prm)
+    if not all(map(isinstance, prms, repeat(PRMRequirements))):
+        for prm in prms:
+            _validate_prm(prm)  # raises for the first offending member
     device = _resolve_device(device)
     if isinstance(controller_bytes_per_s, (int, float)) and not isinstance(
         controller_bytes_per_s, bool

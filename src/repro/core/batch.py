@@ -12,15 +12,16 @@ treats whole bitstreams as frame arrays):
 * :class:`DeviceColumns` — a struct-of-arrays view of one device: the
   per-kind column prefix sums already computed by
   :class:`~repro.devices.window_index.ColumnWindowIndex`, lifted into
-  ``np.ndarray`` form, plus every family constant the models read.
-  Built once per device and cached on the instance.
+  ``np.ndarray`` form, the exact-mix window table derived from them,
+  and every family constant the models read.  Built once per device and
+  cached on the instance.
 * :func:`batch_prr_geometry` — eqs. (1)–(7) broadcast over an
   ``(N_prm, H)`` grid with a feasibility mask (the eq. (4)
   single-DSP-column rule, zero-width geometries).
 * :func:`batch_window_placement` — the Fig. 1 window question ("does a
   contiguous column window with exactly this mix exist, and where is the
-  left-most one?") answered for every grid cell at once from the prefix
-  sums, deduplicated by distinct column mix.
+  left-most one?") answered for every grid cell at once by one lookup
+  in the device's exact-mix window table.
 * :func:`batch_bitstream_bytes` — eqs. (18)–(23) as array ops.
 * :func:`batch_reconfig_time` — bytes → seconds, broadcasting over
   per-request controller/media throughputs.
@@ -42,6 +43,7 @@ scores N PRMs at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +107,13 @@ class DeviceColumns:
     They are the exact sequences the scalar
     :class:`~repro.devices.window_index.ColumnWindowIndex` computed, so
     batch and scalar answers can never disagree about the fabric.
+
+    ``window_first[c, d, b]`` answers the Fig. 1 window question for one
+    column mix: the 1-based left-most start of a contiguous window of
+    exactly ``c`` CLB, ``d`` DSP and ``b`` BRAM columns and no IOB/CLK
+    column, or 0 when no such window exists.  Each axis runs one past
+    the device's count of that kind; that last slice is all zero, so a
+    mix clipped to it reads "no window".
     """
 
     device_name: str
@@ -115,6 +124,7 @@ class DeviceColumns:
     dsp_prefix: "np.ndarray"
     bram_prefix: "np.ndarray"
     blocked_prefix: "np.ndarray"
+    window_first: "np.ndarray"
     # -- family constants (Tables II and IV) ---------------------------
     clb_per_col: int
     dsp_per_col: int
@@ -133,17 +143,21 @@ class DeviceColumns:
     @classmethod
     def from_device(cls, device: Device) -> "DeviceColumns":
         """Lift a device's window-index prefix sums into numpy columns."""
-        prefixes = device.window_index.prefix_sums()
+        prefixes = {
+            kind: np.asarray(sums, dtype=np.int64)
+            for kind, sums in device.window_index.prefix_sums().items()
+        }
         family = device.family
         return cls(
             device_name=device.name,
             rows=device.rows,
             num_columns=device.num_columns,
             single_dsp_column=device.has_single_dsp_column,
-            clb_prefix=np.asarray(prefixes["clb"], dtype=np.int64),
-            dsp_prefix=np.asarray(prefixes["dsp"], dtype=np.int64),
-            bram_prefix=np.asarray(prefixes["bram"], dtype=np.int64),
-            blocked_prefix=np.asarray(prefixes["blocked"], dtype=np.int64),
+            clb_prefix=prefixes["clb"],
+            dsp_prefix=prefixes["dsp"],
+            bram_prefix=prefixes["bram"],
+            blocked_prefix=prefixes["blocked"],
+            window_first=_window_table(**prefixes),
             clb_per_col=family.clb_per_col,
             dsp_per_col=family.dsp_per_col,
             bram_per_col=family.bram_per_col,
@@ -158,6 +172,42 @@ class DeviceColumns:
             far_fdri_words=family.far_fdri_words,
             bytes_per_word=family.bytes_per_word,
         )
+
+
+def _window_table(clb, dsp, bram, blocked) -> "np.ndarray":
+    """The exact-mix window table of :class:`DeviceColumns` (``window_first``).
+
+    Every window ``[lo, hi)`` free of IOB/CLK columns is counted from the
+    prefix sums in one pass — O(columns²) pairs, listed in ``lo`` order,
+    so the first pair seen for a mix holds its left-most start.
+    """
+    shape = (int(clb[-1]) + 2, int(dsp[-1]) + 2, int(bram[-1]) + 2)
+    table = np.zeros(shape, dtype=np.int64)
+    lo, hi = np.triu_indices(len(clb), k=1)  # all 0 <= lo < hi <= n
+    clear = blocked[hi] == blocked[lo]
+    lo, hi = lo[clear], hi[clear]
+    mix = np.ravel_multi_index(
+        (clb[hi] - clb[lo], dsp[hi] - dsp[lo], bram[hi] - bram[lo]), shape
+    )
+    mixes, first_pair = np.unique(mix, return_index=True)
+    table.flat[mixes] = lo[first_pair] + 1
+    return table
+
+
+def _window_starts(cols: DeviceColumns, w_clb, w_dsp, w_bram) -> "np.ndarray":
+    """``window_first`` read at every cell of non-negative ``w_*`` arrays.
+
+    A component above the device's count of its kind is clipped onto the
+    table's all-zero last slice, so one flat index answers every cell.
+    """
+    table = cols.window_first
+    c_out, d_out, b_out = (size - 1 for size in table.shape)
+    index = np.minimum(w_clb, c_out)
+    index *= d_out + 1
+    index += np.minimum(w_dsp, d_out)
+    index *= b_out + 1
+    index += np.minimum(w_bram, b_out)
+    return table.take(index)
 
 
 def device_columns(device: Device) -> DeviceColumns:
@@ -187,6 +237,10 @@ class GeometryGrid:
     column count is zero (a PRR needs at least one column).  Whether a
     contiguous fabric window exists is a separate question answered by
     :func:`batch_window_placement`.
+
+    The ``(N, R)`` arrays are transposed views of H-major ``(R, N)``
+    arrays: each H row then divides the whole batch by one scalar, which
+    numpy does several times faster than a per-cell divisor.
     """
 
     device_name: str
@@ -210,7 +264,8 @@ class GeometryGrid:
 
 def _ceil_div(numerator, denominator):
     """Elementwise ``ceil(a / b)`` for non-negative integer arrays."""
-    return -(-numerator // denominator)
+    quotient = np.floor_divide(-numerator, denominator)
+    return np.negative(quotient, out=quotient)
 
 
 def requirement_columns(
@@ -221,11 +276,10 @@ def requirement_columns(
     Returns ``(lut_ff_pairs, dsps, brams)`` as int64 arrays — the input
     shape :func:`batch_prr_geometry` and :func:`batch_select` take.
     """
-    pairs = np.fromiter(
-        (p.lut_ff_pairs for p in prms), dtype=np.int64, count=len(prms)
+    pairs, dsps, brams = (
+        np.fromiter(map(attrgetter(field), prms), dtype=np.int64, count=len(prms))
+        for field in ("lut_ff_pairs", "dsps", "brams")
     )
-    dsps = np.fromiter((p.dsps for p in prms), dtype=np.int64, count=len(prms))
-    brams = np.fromiter((p.brams for p in prms), dtype=np.int64, count=len(prms))
     return pairs, dsps, brams
 
 
@@ -257,40 +311,41 @@ def batch_prr_geometry(
         raise InvalidInput("requirement scalars must be non-negative")
 
     heights = np.arange(1, cols.rows + 1, dtype=np.int64)  # (R,)
+    h = heights[:, None]  # H-major: one row per H, one column per PRM
     clb_req = _ceil_div(pairs, cols.luts_per_clb)  # (N,) eq. (1)
 
     # Eq. (2): W_CLB = ceil(CLB_req / (H * CLB_col)); ceil(0/x) = 0.
-    w_clb = _ceil_div(clb_req[:, None], heights[None, :] * cols.clb_per_col)
+    w_clb = _ceil_div(clb_req, h * cols.clb_per_col)
     # Eq. (5).
-    w_bram = _ceil_div(bram_req[:, None], heights[None, :] * cols.bram_per_col)
+    w_bram = _ceil_div(bram_req, h * cols.bram_per_col)
 
-    has_dsp = dsp_req[:, None] > 0
+    # Each W is >= 1 exactly when its requirement is > 0, so the "at
+    # least one column" rule is per PRM, not per cell.
+    any_column = (clb_req > 0) | (dsp_req > 0) | (bram_req > 0)  # (N,)
     if cols.single_dsp_column:
         # Eq. (4): W_DSP = 1 and the lone column's height must cover the
         # demand — H >= ceil(DSP_req / DSP_col) or the cell is infeasible.
-        h_dsp = _ceil_div(dsp_req, cols.dsp_per_col)  # (N,)
-        w_dsp = np.where(has_dsp, np.int64(1), np.int64(0)) * np.ones_like(
-            w_clb
-        )
-        feasible = ~(has_dsp & (h_dsp[:, None] > heights[None, :]))
+        w_dsp = np.repeat((dsp_req > 0).astype(np.int64)[None, :], cols.rows, 0)
+        h_dsp = _ceil_div(dsp_req, cols.dsp_per_col)  # (N,), 0 without DSPs
+        feasible = (h_dsp <= h) & any_column
     else:
         # Eq. (3).
-        w_dsp = _ceil_div(dsp_req[:, None], heights[None, :] * cols.dsp_per_col)
-        feasible = np.ones_like(w_clb, dtype=bool)
+        w_dsp = _ceil_div(dsp_req, h * cols.dsp_per_col)
+        feasible = np.repeat(any_column[None, :], cols.rows, 0)
 
-    width = w_clb + w_dsp + w_bram  # eq. (6)
-    feasible = feasible & (width >= 1)  # a PRR needs at least one column
-    size = heights[None, :] * width  # eq. (7)
+    width = w_clb + w_dsp  # eq. (6)
+    width += w_bram
+    size = width * h  # eq. (7)
     return GeometryGrid(
         device_name=cols.device_name,
         heights=heights,
         clb_req=clb_req,
-        feasible=feasible,
-        w_clb=w_clb,
-        w_dsp=w_dsp,
-        w_bram=w_bram,
-        width=width,
-        size=size,
+        feasible=feasible.T,
+        w_clb=w_clb.T,
+        w_dsp=w_dsp.T,
+        w_bram=w_bram.T,
+        width=width.T,
+        size=size.T,
     )
 
 
@@ -313,54 +368,19 @@ def batch_window_placement(
     and 1-based int arrays of the same shape (``first_col`` is 0 where
     no window exists).
 
-    Distinct mixes are deduplicated first (a 10k-PRM grid typically
-    contains only tens of distinct mixes), then all (mix, start) pairs
-    are checked in one prefix-sum subtraction per kind — no per-start
-    Python loop.  ``mask`` limits the work to cells that are
-    geometry-feasible.
+    The answer depends on the mix alone, so each cell is one read of the
+    device's exact-mix window table (:attr:`DeviceColumns.window_first`,
+    built once per device) — no per-call scan of window starts.  Cells
+    outside ``mask`` report no window.
     """
     cols = device if isinstance(device, DeviceColumns) else device_columns(device)
-    w_clb = np.asarray(w_clb, dtype=np.int64)
-    w_dsp = np.asarray(w_dsp, dtype=np.int64)
-    w_bram = np.asarray(w_bram, dtype=np.int64)
-    width = w_clb + w_dsp + w_bram
-    n = cols.num_columns
-    has = np.zeros(width.shape, dtype=bool)
-    first = np.zeros(width.shape, dtype=np.int64)
-    live = (width >= 1) & (width <= n)
+    mix = [np.asarray(w, dtype=np.int64) for w in (w_clb, w_dsp, w_bram)]
+    if any(w.size and int(w.min()) < 0 for w in mix):
+        raise InvalidInput("column counts must be non-negative")
+    first = _window_starts(cols, *mix)
     if mask is not None:
-        live = live & np.asarray(mask, dtype=bool)
-    if not live.any():
-        return has, first
-
-    # Encode each live mix as one integer; components are <= width <= n.
-    base = np.int64(n + 1)
-    keys = (w_clb[live] * base + w_dsp[live]) * base + w_bram[live]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    u_bram = uniq % base
-    u_dsp = (uniq // base) % base
-    u_clb = uniq // (base * base)
-    u_width = u_clb + u_dsp + u_bram  # (U,)
-
-    lo = np.arange(n, dtype=np.int64)  # (n,) 0-based window starts
-    hi = lo[None, :] + u_width[:, None]  # (U, n) exclusive ends
-    in_bounds = hi <= n
-    hi = np.minimum(hi, n)
-    ok = (
-        in_bounds
-        & (cols.blocked_prefix[hi] - cols.blocked_prefix[lo[None, :]] == 0)
-        & (cols.clb_prefix[hi] - cols.clb_prefix[lo[None, :]] == u_clb[:, None])
-        & (cols.dsp_prefix[hi] - cols.dsp_prefix[lo[None, :]] == u_dsp[:, None])
-        & (
-            cols.bram_prefix[hi] - cols.bram_prefix[lo[None, :]]
-            == u_bram[:, None]
-        )
-    )
-    u_has = ok.any(axis=1)
-    u_first = np.where(u_has, ok.argmax(axis=1) + 1, 0)  # 1-based
-    has[live] = u_has[inverse]
-    first[live] = u_first[inverse]
-    return has, first
+        first = np.where(mask, first, 0)
+    return first > 0, first
 
 
 # -- bitstream + reconfiguration (eqs. (18)-(23)) ----------------------------
@@ -483,12 +503,14 @@ def batch_select(
     """Run the whole Fig. 1 flow for N PRMs in one array pass.
 
     Per PRM: evaluate every H (geometry grid), mask H values without a
-    contiguous window, compute eq. (18) bytes, then pick the candidate
-    minimizing ``(PRR_size, H)`` (objective ``"size"``, the default) or
+    contiguous window, then pick the candidate minimizing
+    ``(PRR_size, H)`` (objective ``"size"``, the default) or
     ``(S_bitstream, H)`` (objective ``"bitstream"``) — the same
     lexicographic key :func:`~repro.core.placement_search.find_prr`
     applies on an empty fabric, where the bottom-most row is always 1
-    and the left-most start column is unique per H.
+    and the left-most start column is unique per H.  Eq. (18) bytes are
+    computed for the whole grid only when they are the objective;
+    otherwise for the N picked cells alone.
     """
     if objective not in _OBJECTIVES:
         raise InvalidInput(
@@ -496,42 +518,54 @@ def batch_select(
         )
     cols = device_columns(device)
     grid = batch_prr_geometry(cols, lut_ff_pairs, dsps, brams)
-    has_window, first_col = batch_window_placement(
-        cols, grid.w_clb, grid.w_dsp, grid.w_bram, mask=grid.feasible
-    )
-    candidate = grid.feasible & has_window  # (N, R)
-    bytes_grid = batch_bitstream_bytes(
-        cols, grid.heights[None, :], grid.w_clb, grid.w_dsp, grid.w_bram
-    )
+    # The grid's H-major (R, N) arrays: transposing the views back is free.
+    w_clb, w_dsp, w_bram = grid.w_clb.T, grid.w_dsp.T, grid.w_bram.T
+    first_col = _window_starts(cols, w_clb, w_dsp, w_bram)
+    candidate = grid.feasible.T & (first_col > 0)
+    if objective == "size":
+        primary = grid.size.T
+    else:
+        primary = batch_bitstream_bytes(
+            cols, grid.heights[:, None], w_clb, w_dsp, w_bram
+        )
 
-    primary = grid.size if objective == "size" else bytes_grid
     # Lexicographic (primary, H) argmin: H strictly increases along the
     # axis, so masking losers to +inf and taking the *first* minimum
     # breaks primary ties toward the smaller H, exactly like the scalar
     # search (row is always 1 and the column is unique per H on an empty
     # fabric, so the remaining scalar tie-breaks never fire).
     big = np.iinfo(np.int64).max
-    masked = np.where(candidate, primary, big)
-    pick = masked.argmin(axis=1)  # (N,)
-    feasible = candidate.any(axis=1)
+    pick = np.where(candidate, primary, big).argmin(axis=0)  # (N,)
+    feasible = candidate.any(axis=0)
+    cell = pick * grid.n_prms + np.arange(grid.n_prms)  # flat (R, N) index
 
     def take(grid_array):
-        taken = np.take_along_axis(grid_array, pick[:, None], axis=1)[:, 0]
-        return np.where(feasible, taken, 0)
+        return np.where(feasible, grid_array.take(cell), 0)
 
+    rows = np.where(feasible, pick + 1, 0)  # heights[pick]
+    picked_clb, picked_dsp, picked_bram = take(w_clb), take(w_dsp), take(w_bram)
+    width = picked_clb + picked_dsp + picked_bram
+    if objective == "size":
+        picked_bytes = np.where(
+            feasible,
+            batch_bitstream_bytes(cols, rows, picked_clb, picked_dsp, picked_bram),
+            0,
+        )
+    else:
+        picked_bytes = take(primary)
     selection = BatchSelection(
         device_name=device.name,
         objective=objective,
         clb_req=grid.clb_req,
         feasible=feasible,
-        rows=np.where(feasible, grid.heights[pick], 0),
-        w_clb=take(grid.w_clb),
-        w_dsp=take(grid.w_dsp),
-        w_bram=take(grid.w_bram),
-        width=take(grid.width),
-        size=take(grid.size),
+        rows=rows,
+        w_clb=picked_clb,
+        w_dsp=picked_dsp,
+        w_bram=picked_bram,
+        width=width,
+        size=rows * width,
         start_col=take(first_col),
-        bitstream_bytes=take(bytes_grid),
+        bitstream_bytes=picked_bytes,
     )
     if _obs.enabled:
         _record_batch_metrics(

@@ -194,7 +194,10 @@ def prr_geometry_for_rows(
     return result
 
 
-@lru_cache(maxsize=65536)
+# The measured working sets are small (33 entries on the paper flow; only
+# per-set reuse when exploring fresh PRM sets), so a larger cap would only
+# hold one-shot entries (EXPERIMENTS.md, "Geometry LRU cap").
+@lru_cache(maxsize=1024)
 def _cached_geometry(
     requirements: tuple[PRMRequirements, ...],
     family: DeviceFamily,

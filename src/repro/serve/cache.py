@@ -488,24 +488,10 @@ class TieredResultCache:
         _count("serve.cluster.cache_misses")
         return None
 
-    def put(
-        self,
-        key: str,
-        result: CostModelResult,
-        entry: dict[str, Any] | None = None,
-        *,
-        controller_bytes_per_s: float | None = None,
-    ) -> None:
-        """Store in both tiers; *entry* may be supplied pre-encoded."""
+    def put(self, key: str, result: CostModelResult, entry: dict[str, Any]) -> None:
+        """Store in both tiers; *entry* is the result's :func:`encode_result`."""
         self.memory.put(key, result)
         if self.disk is not None:
-            if entry is None:
-                if controller_bytes_per_s is None:
-                    raise InvalidInput(
-                        "put needs either an encoded entry or the "
-                        "controller rate to encode one"
-                    )
-                entry = encode_result(result, controller_bytes_per_s)
             self.disk.put(key, entry)
         self._bump("stores")
 

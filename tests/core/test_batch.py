@@ -97,6 +97,11 @@ class TestWindowPlacement:
         assert not has[0]
         assert first[0] == 0
 
+    def test_negative_column_counts_rejected(self):
+        device = get_device("xc5vlx110t")
+        with pytest.raises(InvalidInput):
+            batch.batch_window_placement(device, [2], [-1], [1])
+
     def test_first_col_matches_window_index(self):
         device = get_device("xc5vlx110t")
         grid = batch.batch_prr_geometry(device, [3000], [0], [2])

@@ -195,7 +195,7 @@ class TestTieredCache:
         result = evaluate_prm(fir, v5_device.name)
         key = cache_key(fir, v5_device, RATE)
         warm = TieredResultCache(directory=tmp_path)
-        warm.put(key, result, controller_bytes_per_s=RATE)
+        warm.put(key, result, encode_result(result, RATE))
         # New process, empty memory tier: the disk copy must satisfy it.
         cold = TieredResultCache(directory=tmp_path)
         hit = cold.get(key, v5_device)
@@ -211,7 +211,7 @@ class TestTieredCache:
         result = evaluate_prm(fir, v5_device.name)
         key = cache_key(fir, v5_device, RATE)
         tiered = TieredResultCache(max_entries=1, directory=tmp_path)
-        tiered.put(key, result, controller_bytes_per_s=RATE)
+        tiered.put(key, result, encode_result(result, RATE))
         corrupt_cache_entry(
             tiered.disk.path_for(key), rng=random.Random(3)
         )
@@ -219,26 +219,18 @@ class TestTieredCache:
         other = evaluate_prm(
             paper_requirements("mips", "virtex5"), v5_device.name
         )
-        tiered.put("other-key", other, controller_bytes_per_s=RATE)
+        tiered.put("other-key", other, encode_result(other, RATE))
         assert tiered.get(key, v5_device) is None
         stats = tiered.combined_stats()
         assert stats["quarantined"] == 1
         assert stats["misses"] == 1
         # The recompute path re-populates both tiers.
-        tiered.put(key, result, controller_bytes_per_s=RATE)
+        tiered.put(key, result, encode_result(result, RATE))
         assert tiered.get(key, v5_device) == result
 
     def test_memory_only_mode(self, v5_device, fir):
         result = evaluate_prm(fir, v5_device.name)
         tiered = TieredResultCache(directory=None)
-        tiered.put("k", result, controller_bytes_per_s=RATE)
+        tiered.put("k", result, encode_result(result, RATE))
         assert tiered.get("k", v5_device) == result
         assert tiered.disk is None
-
-    def test_put_without_rate_or_entry_rejected(
-        self, tmp_path, v5_device, fir
-    ):
-        result = evaluate_prm(fir, v5_device.name)
-        tiered = TieredResultCache(directory=tmp_path)
-        with pytest.raises(InvalidInput):
-            tiered.put("k", result)

@@ -37,7 +37,6 @@ def simulate_on_fabric(
     *,
     port_bytes_per_s: float = 400e6,
     faults: FaultInjector | None = None,
-    fault_policy=None,
     idle_retire_s: float | None = None,
 ) -> ScheduleResult:
     """Run *jobs* FCFS on *runtime*, one module per distinct task.
@@ -51,16 +50,13 @@ def simulate_on_fabric(
     * ``faults`` (or ``runtime.injector``) supplies transfer faults for
       migration verify *and* the Poisson permanent-column-fault process;
       struck columns are retired and their modules migrated or evicted.
-    * ``fault_policy`` is accepted for signature compatibility with
-      :func:`repro.multitask.scheduler.simulate_pr`; retry/rollback
-      behaviour on the fabric path is governed by the runtime's
-      :class:`~repro.fabric.runtime.FabricConfig` instead.
+    * Retry/rollback behaviour comes from the runtime's
+      :class:`~repro.fabric.runtime.FabricConfig`.
 
     Returns a :class:`~repro.multitask.scheduler.ScheduleResult` with
     ``system="fabric"``; ``permanent_retirements`` counts retired
     columns and ``reconfig_count`` counts admissions plus migrations.
     """
-    del fault_policy  # handled by runtime.config on this path
     injector = faults if faults is not None else runtime.injector
     if injector is not None:
         runtime.injector = injector

@@ -11,20 +11,16 @@ package supplies the failure side of the repo's otherwise-ideal models:
 * :mod:`reliable` — :class:`ReliableReconfigurer`, CRC-verify-after-
   write with retry/backoff around
   :func:`repro.icap.reconfig.simulate_reconfiguration`;
-* :mod:`degraded` — the fault-aware scheduler mode behind
-  ``simulate_pr(..., faults=...)``: retries consume schedule time,
-  repeatedly failing PRRs are quarantined and scrub-restored, and
-  unplaceable jobs spill to the full-reconfiguration baseline path;
+* :mod:`degraded` — the policy of ``simulate_pr(..., faults=...)``:
+  how many retries, when a failing PRR is quarantined and
+  scrub-restored, and whether unplaceable jobs spill to the
+  full-reconfiguration baseline path;
 * :mod:`serve_injectors` — serve-tier chaos for the cluster soak:
   shard SIGKILL plans (:class:`ShardChaos`), cache-file corruption/
   truncation, torn-write temp files, and disk-full cache writes.
 """
 
-from .degraded import (
-    DegradedModePolicy,
-    QuarantineEscalation,
-    simulate_pr_with_faults,
-)
+from .degraded import DegradedModePolicy, QuarantineEscalation
 from .injector import FaultInjector, TransferOutcome
 from .models import (
     ControllerStallFault,
@@ -65,7 +61,6 @@ __all__ = [
     "ReliableReconfigurer",
     "payload_crc",
     "DegradedModePolicy",
-    "simulate_pr_with_faults",
     "ShardChaos",
     "corrupt_cache_entry",
     "truncate_cache_entry",

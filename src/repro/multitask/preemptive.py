@@ -24,8 +24,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..core.bitstream_model import bitstream_size_bytes
+from ..core.params import PRMRequirements
 from ..core.prr_model import PRRGeometry
 from ..devices.frames import BLOCK_TYPE_BRAM_CONTENT  # noqa: F401 (doc ref)
+from ..errors import InvalidInput
 from .tasks import HwTask
 
 __all__ = [
@@ -104,9 +106,21 @@ def simulate_preemptive(
 
     ``allow_preemption=False`` gives the non-preemptive baseline with the
     same dispatch policy, isolating the preemption benefit/overhead.
+    Raises :class:`InvalidInput` for a job no PRR fits.
     """
     if not prrs:
-        raise ValueError("need at least one PRR")
+        raise InvalidInput("need at least one PRR")
+    placeable: set[PRMRequirements] = set()
+    for job in jobs:
+        prm = job.task.prm
+        if prm in placeable:
+            continue
+        if not any(g.fits(prm) for g in prrs):
+            raise InvalidInput(
+                f"no PRR fits task {job.task.name!r} "
+                f"(needs {prm.lut_ff_pairs} pairs)"
+            )
+        placeable.add(prm)
 
     result = PreemptiveResult()
     counter = itertools.count()
@@ -226,8 +240,6 @@ def simulate_preemptive(
             (job.priority, job.arrival_seconds, next(counter), state)
         )
 
-    if pending:
-        raise RuntimeError("simulation ended with undispatched jobs")
     result.makespan_seconds = max(
         (finish for _, _, finish in result.completed), default=0.0
     )

@@ -19,8 +19,6 @@ The scheduler is deterministic FCFS with an idle-PRR affinity heuristic
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -203,112 +201,300 @@ def simulate_pr(
 ) -> ScheduleResult:
     """Simulate the PR system: FCFS over independently reconfiguring PRRs.
 
+    Each job, in (arrival, id) order, goes to the earliest-free fitting
+    PRR, preferring one that already holds its PRM; a PRR holding a
+    different PRM first pays ``partial bitstream bytes / port_bytes_per_s``.
     ``icap_exclusive=True`` models the single shared ICAP: only one PRR
     can reconfigure at a time, so concurrent reconfigurations serialize —
     the contention the Claus busy-factor model (ref. [1]) abstracts.  The
     result's ``icap_busy_seconds`` lets callers derive the realized busy
     factor.
 
-    Passing ``faults`` (a :class:`repro.faults.FaultInjector`) switches to
-    the fault-aware mode of :mod:`repro.faults.degraded`: verified writes
-    retried per ``fault_policy`` (a
-    :class:`~repro.faults.degraded.DegradedModePolicy`), failing PRRs
-    quarantined and scrub-restored, and unplaceable jobs spilled to the
-    full-reconfiguration path when *device* is given.  With a zero-rate
-    injector the result is identical to the fault-free mode.
+    ``faults`` (a :class:`repro.faults.FaultInjector`) makes every
+    reconfiguration a verified write retried per ``fault_policy`` (a
+    :class:`~repro.faults.degraded.DegradedModePolicy`): failing PRRs are
+    quarantined and scrub-restored, background SEUs invalidate loaded
+    PRMs, and jobs no PRR can take spill to the full-reconfiguration
+    context when *device* is given (sizing the full bitstream) or are
+    dropped otherwise.  Without an injector no fault path is taken; a
+    zero-rate injector yields the same schedule.
 
     ``prrs`` may also be a :class:`repro.fabric.FabricRuntime` — the run
     then schedules on the live fabric (dynamic admission, defrag on
     fragmentation, permanent-fault column retirement) instead of a fixed
-    PRR set; see :func:`repro.fabric.simulate_on_fabric`.
+    PRR set; see :func:`repro.fabric.simulate_on_fabric`.  That path
+    takes its retry behaviour from the runtime's config, so it rejects
+    ``fault_policy``.
     """
     from ..fabric.runtime import FabricRuntime
+    from ..faults.degraded import (
+        DegradedModePolicy,
+        QuarantineEscalation,
+        _next_scrub_after,
+        _record_fault_observations,
+    )
 
     if isinstance(prrs, FabricRuntime):
+        if fault_policy is not None:
+            raise InvalidInput(
+                "fault_policy does not apply to a FabricRuntime; "
+                "set its FabricConfig instead"
+            )
         from ..fabric.schedule import simulate_on_fabric
 
         return simulate_on_fabric(
-            jobs,
-            prrs,
-            port_bytes_per_s=port_bytes_per_s,
-            faults=faults,
-            fault_policy=fault_policy,
+            jobs, prrs, port_bytes_per_s=port_bytes_per_s, faults=faults
         )
     if not prrs:
-        raise ValueError("need at least one PRR")
-    if faults is not None:
-        from ..faults.degraded import simulate_pr_with_faults
-
-        return simulate_pr_with_faults(
-            jobs,
-            prrs,
-            injector=faults,
-            policy=fault_policy,
-            port_bytes_per_s=port_bytes_per_s,
-            icap_exclusive=icap_exclusive,
-            device=device,
-        )
-    if fault_policy is not None:
-        raise ValueError("fault_policy requires a faults= injector")
+        raise InvalidInput("need at least one PRR")
+    if faults is None and fault_policy is not None:
+        raise InvalidInput("fault_policy requires a faults= injector")
+    policy = fault_policy if fault_policy is not None else DegradedModePolicy()
+    retry = policy.retry
+    escalation = (
+        QuarantineEscalation(policy.permanent_streak)
+        if policy.permanent_streak is not None
+        else None
+    )
     states = [PRRState(index=i, geometry=g) for i, g in enumerate(prrs)]
+    failed_streak = [0] * len(states)
+    offline: set[int] = set()
+    tried: set[int] = set()  # PRRs that failed the current job
     result = ScheduleResult(system="pr")
-    counter = itertools.count()
-    # (ready_time, tiebreak, state) heap of PRR availability.
-    ready: list[tuple[float, int, PRRState]] = [
-        (0.0, next(counter), s) for s in states
-    ]
-    heapq.heapify(ready)
     icap_free_at = 0.0
+    # Spill context: one exclusive whole-device configuration at a time.
+    full_reconfig = (
+        full_device_bitstream_bytes(device) / port_bytes_per_s
+        if device is not None
+        else None
+    )
+    full_free_at = 0.0
+    full_loaded: str | None = None
+    seu = faults is not None and faults.seu is not None
+    last_seu_check = 0.0
+    # Fault telemetry (all model-domain; touched only when tracing is on).
+    track = _obs.enabled
+    retry_events: list[float] = []
+    quarantine_events: list[float] = []
+    streamed_bytes = 0.0  # partial-bitstream bytes pushed, incl. re-streams
+    streamed_port_seconds = 0.0
+    spill_bytes = 0.0
+    spill_seconds = 0.0
+    offline_since: dict[int, float] = {}
+    fitting_states = fitting_index(states)
+    span_attrs = {"faulty": True} if faults is not None else {}
 
     with _obs.trace_span(
         "simulate_pr",
         jobs=len(jobs),
         prrs=len(prrs),
         icap_exclusive=icap_exclusive,
+        **span_attrs,
     ):
-        fitting_states = fitting_index(states)
         for job in sorted(jobs, key=lambda j: (j.arrival_seconds, j.job_id)):
-            fitting = fitting_states(job)
-            # Affinity first: an already-loaded, earliest-free PRR;
-            # otherwise the earliest-free fitting PRR.
-            loaded = [s for s in fitting if s.loaded_prm == job.task.name]
-            candidates = loaded or fitting
-            state = min(candidates, key=lambda s: (s.busy_until, s.index))
+            now = job.arrival_seconds
+            # Background SEUs since the last dispatch: each strikes a
+            # random PRR and silently corrupts whatever it holds.
+            if seu:
+                for _ in range(faults.seu_arrivals(last_seu_check, now)):
+                    victim = states[faults.choose(len(states))]
+                    faults.record_seu(now, f"prr{victim.index}")
+                    result.seu_hits += 1
+                    victim.loaded_prm = None
+                last_seu_check = now
 
-            start_ready = max(state.busy_until, job.arrival_seconds)
-            reconfig = 0.0
-            if state.loaded_prm != job.task.name:
-                reconfig = state.partial_bitstream_bytes / port_bytes_per_s
-                if icap_exclusive:
-                    start_ready = max(start_ready, icap_free_at)
-                    icap_free_at = start_ready + reconfig
-                state.loaded_prm = job.task.name
-                state.reconfig_count += 1
-                state.reconfig_seconds += reconfig
-            start = start_ready + reconfig
-            finish = start + job.task.exec_seconds
-            state.busy_until = finish
-            state.busy_seconds += job.task.exec_seconds
-            result.completed.append(
-                CompletedJob(
-                    job_id=job.job_id,
-                    task_name=job.task.name,
-                    prr_index=state.index,
-                    arrival=job.arrival_seconds,
-                    start=start,
-                    reconfig_seconds=reconfig,
-                    finish=finish,
-                )
-            )
+            fitting_all = fitting_states(job)
+            while True:
+                fitting = fitting_all
+                if offline or tried:
+                    fitting = [
+                        s
+                        for s in fitting_all
+                        if s.index not in offline and s.index not in tried
+                    ]
+                    if not fitting:
+                        # Every fitting PRR failed this job or is offline.
+                        if not (policy.spill_to_full and full_reconfig is not None):
+                            result.dropped_jobs += 1
+                            break
+                        start_ready = max(full_free_at, now)
+                        reconfig = 0.0
+                        if full_loaded != job.task.name:
+                            reconfig = full_reconfig
+                            full_loaded = job.task.name
+                            result.reconfig_count += 1
+                            result.total_reconfig_seconds += reconfig
+                            result.halted_seconds += reconfig
+                        start = start_ready + reconfig
+                        finish = start + job.task.exec_seconds
+                        full_free_at = finish
+                        result.spilled_jobs += 1
+                        if track and reconfig > 0:
+                            spill_bytes += reconfig * port_bytes_per_s
+                            spill_seconds += reconfig
+                        result.completed.append(
+                            CompletedJob(
+                                job_id=job.job_id,
+                                task_name=job.task.name,
+                                prr_index=-1,
+                                arrival=now,
+                                start=start,
+                                reconfig_seconds=reconfig,
+                                finish=finish,
+                            )
+                        )
+                        break
+                # Affinity first: an already-loaded, earliest-free PRR;
+                # otherwise the earliest-free fitting PRR.
+                loaded = [s for s in fitting if s.loaded_prm == job.task.name]
+                candidates = loaded or fitting
+                state = min(candidates, key=lambda s: (s.busy_until, s.index))
+
+                start_ready = max(state.busy_until, now)
+                spent = 0.0  # port + stall + verify + backoff across attempts
+                success = True
+                if state.loaded_prm != job.task.name:
+                    base_t = state.partial_bitstream_bytes / port_bytes_per_s
+                    if icap_exclusive:
+                        start_ready = max(start_ready, icap_free_at)
+                    if faults is None:
+                        spent = port_time = base_t
+                    else:
+                        port_time = 0.0  # spent minus the backoff gaps
+                        verify = base_t * policy.verify_overhead_factor
+                        success = False
+                        attempts_streamed = 0
+                        retry_spent = 0.0  # time beyond the first attempt
+                        for attempt in range(1, retry.max_attempts + 1):
+                            outcome = faults.transfer_outcome(
+                                start_ready + spent,
+                                f"prr{state.index}",
+                                attempt=attempt,
+                            )
+                            attempt_time = base_t + outcome.stall_seconds + verify
+                            spent += attempt_time
+                            port_time += attempt_time
+                            attempts_streamed += 1
+                            if attempt > 1:
+                                retry_spent += attempt_time
+                            if outcome.ok:
+                                # A failed write empties the PRR, so only a
+                                # successful write can end its failure streak.
+                                failed_streak[state.index] = 0
+                                success = True
+                                break
+                            if (
+                                retry.deadline_s is not None
+                                and spent > retry.deadline_s
+                            ):
+                                result.deadline_misses += 1
+                                break
+                            if attempt < retry.max_attempts:
+                                result.retries += 1
+                                backoff = retry.backoff_seconds(attempt)
+                                spent += backoff
+                                retry_spent += backoff
+                        if track:
+                            streamed_bytes += (
+                                attempts_streamed * state.partial_bitstream_bytes
+                            )
+                            streamed_port_seconds += port_time
+                            if retry_spent > 0:
+                                retry_events.append(retry_spent)
+                    state.reconfig_seconds += port_time
+                    if icap_exclusive:
+                        icap_free_at = start_ready + spent
+                    if success:
+                        state.loaded_prm = job.task.name
+                        state.reconfig_count += 1
+                    else:
+                        # The aborted write destroyed whatever was loaded.
+                        state.loaded_prm = None
+
+                if success:
+                    start = start_ready + spent
+                    finish = start + job.task.exec_seconds
+                    state.busy_until = finish
+                    state.busy_seconds += job.task.exec_seconds
+                    result.completed.append(
+                        CompletedJob(
+                            job_id=job.job_id,
+                            task_name=job.task.name,
+                            prr_index=state.index,
+                            arrival=now,
+                            start=start,
+                            reconfig_seconds=spent,
+                            finish=finish,
+                        )
+                    )
+                    break
+
+                # Reconfiguration failed for good on this PRR.
+                result.failed_reconfigs += 1
+                failed_streak[state.index] += 1
+                state.busy_until = start_ready + spent
+                tried.add(state.index)
+                if failed_streak[state.index] >= policy.quarantine_threshold:
+                    result.quarantines += 1
+                    failed_streak[state.index] = 0
+                    if escalation is not None and escalation.record(state.index):
+                        # Streak escalation: the damage is permanent —
+                        # retire the PRR for good, scrub or not.
+                        result.permanent_retirements += 1
+                        faults.record_permanent(
+                            state.busy_until,
+                            f"prr{state.index}",
+                            detail="quarantine-streak escalation",
+                        )
+                        offline.add(state.index)
+                        offline_since[state.index] = state.busy_until
+                    elif policy.scrub_period_s is not None:
+                        # Offline until the next periodic scrub pass
+                        # rewrites the region (one blind-scrub repair).
+                        quarantined_at = state.busy_until
+                        restore_at = _next_scrub_after(
+                            state.busy_until, policy.scrub_period_s
+                        )
+                        repair = state.partial_bitstream_bytes / port_bytes_per_s
+                        state.busy_until = restore_at + repair
+                        state.reconfig_seconds += repair
+                        result.scrub_repairs += 1
+                        if track:
+                            quarantine_events.append(
+                                state.busy_until - quarantined_at
+                            )
+                            streamed_bytes += state.partial_bitstream_bytes
+                            streamed_port_seconds += repair
+                    else:
+                        offline.add(state.index)
+                        offline_since[state.index] = state.busy_until
+
+            if tried:
+                tried.clear()
 
         result.makespan_seconds = max(
             (j.finish for j in result.completed), default=0.0
         )
-        result.total_reconfig_seconds = sum(s.reconfig_seconds for s in states)
-        result.reconfig_count = sum(s.reconfig_count for s in states)
-        result.icap_busy_seconds = result.total_reconfig_seconds
-        if _obs.enabled:
-            record_schedule_observations(result, states)
+        prr_reconfig_seconds = sum(s.reconfig_seconds for s in states)
+        result.total_reconfig_seconds += prr_reconfig_seconds
+        result.reconfig_count += sum(s.reconfig_count for s in states)
+        result.icap_busy_seconds = prr_reconfig_seconds
+        if faults is not None:
+            result.fault_events = len(faults.events)
+        if track:
+            if faults is None:
+                record_schedule_observations(result, states)
+            else:
+                _record_fault_observations(
+                    result,
+                    retry_events=retry_events,
+                    quarantine_events=quarantine_events,
+                    offline_since=offline_since,
+                    streamed_bytes=streamed_bytes,
+                    streamed_port_seconds=streamed_port_seconds,
+                    spill_bytes=spill_bytes,
+                    spill_seconds=spill_seconds,
+                )
     if _obs.enabled:
         result.trace = _obs.snapshot()
     return result

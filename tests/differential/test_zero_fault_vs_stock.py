@@ -1,8 +1,10 @@
-"""Differential: zero-rate fault runtime vs the stock scheduler.
+"""Differential: ``simulate_pr`` vs the stock fault-free scheduler.
 
-``tests/faults/test_degraded.py`` pins the equivalence on one fixed
-workload; here randomized task mixes, arrival processes, PRR counts and
-ICAP modes assert it across the input space — every ``ScheduleResult``
+``simulate_pr`` runs one dispatch loop with or without a fault injector;
+:mod:`tests.differential.scheduler_reference` keeps the fault-free loop
+it replaced.  Randomized task mixes, arrival processes, PRR counts and
+ICAP modes assert that both a run without an injector and a run with a
+zero-rate injector reproduce that oracle — every ``ScheduleResult``
 field must match, not just the headline numbers.
 """
 
@@ -17,6 +19,7 @@ from repro.faults import FaultInjector
 from repro.multitask import HwTask, make_task_set, simulate_pr
 
 from tests.conftest import paper_requirements
+from tests.differential.scheduler_reference import simulate_pr_reference
 
 WORKLOADS = ("fir", "sdram", "mips")
 
@@ -49,13 +52,22 @@ def workloads(draw):
     return jobs, [shared.geometry] * prr_count
 
 
+@given(workloads(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_fault_free_run_reproduces_stock_scheduler(workload, icap_exclusive):
+    jobs, prrs = workload
+    stock = simulate_pr_reference(jobs, prrs, icap_exclusive=icap_exclusive)
+    result = simulate_pr(jobs, prrs, icap_exclusive=icap_exclusive)
+    assert dataclasses.asdict(result) == dataclasses.asdict(stock)
+
+
 @given(workloads(), st.booleans(), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_zero_rate_injector_reproduces_stock_scheduler(
     workload, icap_exclusive, injector_seed
 ):
     jobs, prrs = workload
-    stock = simulate_pr(jobs, prrs, icap_exclusive=icap_exclusive)
+    stock = simulate_pr_reference(jobs, prrs, icap_exclusive=icap_exclusive)
     faulty = simulate_pr(
         jobs,
         prrs,

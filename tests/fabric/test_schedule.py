@@ -2,10 +2,13 @@
 
 import dataclasses
 
+import pytest
+
 from repro.core import PRMRequirements
 from repro.devices import XC5VLX110T
+from repro.errors import InvalidInput
 from repro.fabric import FabricConfig, FabricRuntime, simulate_on_fabric
-from repro.faults import FaultInjector
+from repro.faults import DegradedModePolicy, FaultInjector
 from repro.multitask import HwTask, make_task_set, simulate_pr
 
 
@@ -33,6 +36,19 @@ class TestDispatch:
         assert result.completed
         assert result.dropped_jobs == 0
         runtime.check_invariants()
+
+    def test_fault_policy_is_rejected_on_a_runtime(self):
+        # Retry behaviour on the fabric comes from FabricConfig; a policy
+        # passed here would otherwise be silently ignored.
+        runtime = FabricRuntime(XC5VLX110T)
+        with pytest.raises(InvalidInput, match="fault_policy"):
+            simulate_pr(
+                job_stream(),
+                runtime,
+                faults=FaultInjector.from_rates(seed=1),
+                fault_policy=DegradedModePolicy(),
+            )
+        assert runtime.admissions == 0
 
     def test_reconfig_accounting_comes_from_the_runtime(self):
         runtime = FabricRuntime(XC5VLX110T)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.placement_search import find_prr
 from repro.devices.catalog import XC5VLX110T
+from repro.errors import InvalidInput
 from repro.faults import (
     DegradedModePolicy,
     FaultInjector,
@@ -72,7 +73,7 @@ class TestZeroFaultEquivalence:
         assert result.completion_rate == 1.0
 
     def test_policy_without_injector_rejected(self, jobs, prr_pair):
-        with pytest.raises(ValueError, match="fault_policy requires"):
+        with pytest.raises(InvalidInput, match="fault_policy requires"):
             simulate_pr(jobs, prr_pair, fault_policy=DegradedModePolicy())
 
     def test_unfittable_task_still_raises(self, tasks, prr_pair):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.placement_search import find_prr
 from repro.devices.catalog import XC5VLX110T
+from repro.errors import InvalidInput
 from repro.multitask.metrics import compare
 from repro.multitask.scheduler import (
     simulate_full_reconfig,
@@ -104,7 +105,7 @@ class TestPrSimulation:
             simulate_pr([Job(monster, 0.0, 0)], prrs)
 
     def test_needs_a_prr(self, jobs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="at least one PRR"):
             simulate_pr(jobs, [])
 
 

@@ -6,6 +6,7 @@ from repro.core.params import PRMRequirements
 from repro.core.prr_model import PRRGeometry
 from repro.devices.family import VIRTEX5
 from repro.devices.resources import ResourceVector
+from repro.errors import InvalidInput
 from repro.multitask.preemptive import (
     PriorityJob,
     context_bytes,
@@ -51,8 +52,19 @@ class TestBasicScheduling:
         assert result.preemption_count == 0
 
     def test_needs_a_prr(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             simulate_preemptive([job(0, 0.0, 1)], [])
+
+    def test_unplaceable_job_rejected_at_entry(self):
+        big = PriorityJob(
+            task=HwTask(PRMRequirements("big", 10_000, 8_000, 6_000), 0.01),
+            arrival_seconds=0.5,
+            priority=1,
+            job_id=99,
+        )
+        jobs = [job(i, i * 0.001, priority=5) for i in range(50)] + [big]
+        with pytest.raises(InvalidInput, match="no PRR fits task 'big'"):
+            simulate_preemptive(jobs, [PRR])
 
     def test_makespan_covers_all_work(self):
         jobs = [job(i, 0.0, priority=5, exec_seconds=0.01) for i in range(4)]

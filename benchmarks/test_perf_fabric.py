@@ -7,14 +7,22 @@ Two gates keep those calls fast:
 * ``fragmentation_index`` of a free-cell grid on the XC5VLX110T with
   3-6 occupied regions, grid build included, must be >= 3x the list-grid
   histogram-sweep reference in ``tests/differential/fabric_reference.py``;
-* ``plan_defrag_pass`` over the layouts the golden fabric stream
-  (``tests/fabric/test_golden_schedule.py``) actually asks it to plan
-  must be >= 2x the full-target-list reference.
+* ``plan_defrag_pass`` over every layout the golden fabric streams
+  (``tests/fabric/test_golden_schedule.py``) ask to plan must be >= 2x
+  the full-target-list reference.  The requests are recorded from a
+  runtime whose layout table keeps nothing, so each admission's planning
+  question reaches the planner even when the live table would answer it.
 
-An idle 2-vCPU Xeon host measures about 8x and 9x.  The gates tolerate
-loaded CI boxes while still catching a change that puts a per-cell
-Python loop back on the path.  Equal answers are asserted before timing,
-so a fast-but-wrong implementation cannot pass.
+A third gate covers the runtime's layout table end to end: the golden
+scenarios through ``simulate_on_fabric`` must give the same schedules,
+counters and event logs as on a keep-nothing runtime, and run >= 1.5x
+faster.
+
+An idle 2-vCPU Xeon host measures about 8x, 9x and 2x.  The gates
+tolerate loaded CI boxes while still catching a change that puts a
+per-cell Python loop back on the path or stops the table from answering.
+Equal answers are asserted before timing, so a fast-but-wrong
+implementation cannot pass.
 """
 
 from __future__ import annotations
@@ -33,20 +41,29 @@ from repro.fabric import (
 )
 
 from tests.differential import fabric_reference as ref
-from tests.fabric.test_golden_schedule import DEVICES, IDLE_RETIRE_S, job_stream
+from tests.fabric.test_golden_schedule import (
+    DEVICES,
+    IDLE_RETIRE_S,
+    SCENARIOS,
+    job_stream,
+    run_scenario,
+    scenario_runtime,
+)
 
 FRAGMENTATION_GATE = 3.0
 DEFRAG_GATE = 2.0
+LAYOUT_TABLE_GATE = 1.5
 REPEATS = 5
 
 
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _best_of(fn) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return min(_timed(fn) for _ in range(REPEATS))
 
 
 def _occupied_layouts(count: int = 40) -> list[list[Region]]:
@@ -85,7 +102,9 @@ def _golden_defrag_calls(monkeypatch) -> list[tuple]:
     monkeypatch.setattr(fabric_runtime, "plan_defrag_pass", recording)
     for name, device in DEVICES.items():
         simulate_on_fabric(
-            job_stream(name), FabricRuntime(device), idle_retire_s=IDLE_RETIRE_S
+            job_stream(name),
+            ref.KeepNothingRuntime(device),
+            idle_retire_s=IDLE_RETIRE_S,
         )
     monkeypatch.undo()
     return calls
@@ -146,4 +165,42 @@ def test_defrag_planning_2x_faster_than_reference(monkeypatch):
     assert speedup >= DEFRAG_GATE, (
         f"plan_defrag_pass only {speedup:.1f}x faster than the full-list "
         f"reference; the >= {DEFRAG_GATE}x gate failed"
+    )
+
+
+def test_layout_table_1_5x_faster_end_to_end():
+    for device_name, faults in SCENARIOS:
+        assert run_scenario(device_name, faults) == run_scenario(
+            device_name, faults, ref.KeepNothingRuntime
+        ), f"{device_name}/{faults}"
+    streams = [
+        (device_name, faults, job_stream(device_name))
+        for device_name, faults in SCENARIOS
+    ]
+
+    def schedule(runtime_cls):
+        def run():
+            for device_name, faults, jobs in streams:
+                simulate_on_fabric(
+                    jobs,
+                    scenario_runtime(device_name, faults, runtime_cls),
+                    idle_retire_s=IDLE_RETIRE_S,
+                )
+
+        return run
+
+    # Alternate the arms so a noisy spell on a shared host hits both.
+    table_s = keep_nothing_s = float("inf")
+    for _ in range(REPEATS):
+        keep_nothing_s = min(keep_nothing_s, _timed(schedule(ref.KeepNothingRuntime)))
+        table_s = min(table_s, _timed(schedule(FabricRuntime)))
+    speedup = keep_nothing_s / table_s
+    print(
+        f"\nlayout-table gate: {len(streams)} golden streams, "
+        f"keep-nothing={keep_nothing_s / len(streams) * 1e3:.2f} ms "
+        f"table={table_s / len(streams) * 1e3:.2f} ms speedup={speedup:.2f}x"
+    )
+    assert speedup >= LAYOUT_TABLE_GATE, (
+        f"the layout table only makes simulate_on_fabric {speedup:.2f}x faster "
+        f"than a keep-nothing runtime; the >= {LAYOUT_TABLE_GATE}x gate failed"
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 from ..devices.fabric import Device, Region
-from ..errors import InfeasiblePlacement
+from ..errors import InfeasiblePlacement, InvalidInput
 from .bitstream_model import cached_bitstream_bytes
 from .fastpath import RegionOccupancy
 from .params import PRMRequirements
@@ -74,11 +74,11 @@ class PlacedPRR:
 
     def __post_init__(self) -> None:
         if self.region.height != self.geometry.rows:
-            raise ValueError("region height must equal geometry rows")
+            raise InvalidInput("region height must equal geometry rows")
         if self.region.width != self.geometry.width:
-            raise ValueError("region width must equal geometry width")
+            raise InvalidInput("region width must equal geometry width")
         if self.device.region_column_counts(self.region) != self.geometry.columns:
-            raise ValueError("region column mix does not match geometry")
+            raise InvalidInput("region column mix does not match geometry")
 
     @property
     def size(self) -> int:

@@ -31,12 +31,38 @@ All time is model time passed by the caller (``now=``); the runtime
 holds no wall clock and no unseeded randomness — with the same call
 sequence and the same injector seed, every counter and placement is
 bit-identical.
+
+**Layout table.**  Three of the questions an admission asks are pure
+functions of the live *layout* — the set of occupied regions plus the
+retired columns — and the immutable device: the fragmentation index,
+the Fig. 1 placement of a demand group (a :class:`PlacedPRR` or
+``None``), and the steps of one defrag pass.  A churning job stream of a
+few modules keeps revisiting the same few layouts, so each runtime keeps
+one table that answers each question once per layout:
+
+* fragmentation index — keyed by the layout;
+* placement — keyed by the layout and the demand group;
+* defrag-pass steps (a tuple) — keyed by the *named* placements, the
+  retired columns and the movable set, since step order breaks ties by
+  module name and only movable modules move.
+
+The live regions, bare and named, are kept in sets updated where the
+layout changes (install, remove, migration activation, column
+retirement); a key is rebuilt from them only after such a change, as a
+set copy that re-hashes no region.  :class:`FabricConfig` is not an
+input to any answer, so no entry ever goes stale.  The table is cleared
+whenever it reaches :data:`LAYOUT_TABLE_CAP` entries, which bounds it
+on streams whose layouts rarely repeat.  It lives on the instance: a
+fresh runtime starts cold, and answers never leak between runtimes.
+Stored answers are immutable (frozen :class:`PlacedPRR`, tuples of
+frozen :class:`~repro.fabric.defrag.MigrationStep`), so sharing one
+between callers is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..bitgen.generator import PartialBitstream, generate_partial_bitstream
 from ..core.floorplanner import Floorplan, floorplan
@@ -75,6 +101,12 @@ __all__ = [
 
 #: Predicate the scheduler supplies: may this module be moved/evicted now?
 ModulePredicate = Callable[[str], bool]
+
+#: Entries a runtime's layout table holds before it is cleared.
+LAYOUT_TABLE_CAP = 4096
+
+#: Table-miss marker (``None`` is a stored answer: "no placement").
+_MISSING = object()
 
 
 class AdmissionError(InfeasiblePlacement):
@@ -208,6 +240,7 @@ class FabricRuntime:
         self.crash_hook: Callable[[str, MigrationStep], None] | None = None
         self._modules: dict[str, FabricModule] = {}
         self._retired_columns: set[int] = set()
+        self._blacklist: tuple[Region, ...] = ()  #: see blacklist_regions()
         self._in_flight: _MigrationTxn | None = None
         self.events: list[FabricEvent] = []
         # Lifetime counters (mirrored to fabric.* metrics when obs is on).
@@ -220,6 +253,14 @@ class FabricRuntime:
         self.rollbacks = 0
         self.columns_retired = 0
         self.port_seconds_total = 0.0  #: model seconds of ICAP traffic
+        #: Layout-pure answers and the live-region sets their keys are
+        #: copied from (see the module docstring); a ``None`` key means
+        #: "changed since last built".
+        self._layout_table: dict[tuple, Any] = {}
+        self._occupied: set[Region] = set()
+        self._named: set[tuple[str, Region]] = set()
+        self._layout_key: tuple[frozenset[Region], frozenset[int]] | None = None
+        self._named_key: frozenset[tuple[str, Region]] | None = None
 
     # -- queries -------------------------------------------------------------
 
@@ -246,10 +287,7 @@ class FabricRuntime:
 
     def blacklist_regions(self) -> tuple[Region, ...]:
         """Retired columns as full-height width-1 forbidden regions."""
-        return tuple(
-            Region(row=1, col=col, height=self.device.rows, width=1)
-            for col in sorted(self._retired_columns)
-        )
+        return self._blacklist
 
     def free_grid(self) -> "np.ndarray":
         return free_cell_grid(
@@ -257,7 +295,11 @@ class FabricRuntime:
         )
 
     def fragmentation_index(self) -> float:
-        return fragmentation_index(self.free_grid())
+        key = ("fragmentation", self._layout())
+        index = self._layout_table.get(key, _MISSING)
+        if index is _MISSING:
+            index = self._remember(key, fragmentation_index(self.free_grid()))
+        return index
 
     def largest_free_rectangle(self) -> int:
         return largest_free_rectangle(self.free_grid())
@@ -289,10 +331,13 @@ class FabricRuntime:
         """Assert the runtime's safety invariants (test hook).
 
         No two placements overlap, no placement touches a retired
-        column, every placement is a valid PRR, and in ``crc`` mode
-        every module's region is fully configured.
+        column, every placement is a valid PRR, the layout table's live
+        region sets mirror the placements, and in ``crc`` mode every
+        module's region is fully configured.
         """
         regions = [(name, m.region) for name, m in sorted(self._modules.items())]
+        assert self._named == set(regions), "layout table out of step"
+        assert self._occupied == {region for _, region in regions}
         for index, (name, region) in enumerate(regions):
             assert self.device.is_valid_prr(region), f"{name}: invalid PRR {region}"
             overlap = self._retired_columns.intersection(region.col_span)
@@ -439,6 +484,11 @@ class FabricRuntime:
             return []
         with _obs.trace_span("fabric.retire_column", column=col):
             self._retired_columns.add(col)
+            self._blacklist = tuple(
+                Region(row=1, col=retired, height=self.device.rows, width=1)
+                for retired in sorted(self._retired_columns)
+            )
+            self._layout_changed()
             self.columns_retired += 1
             self._counter("fabric.columns_retired")
             self._event(now, "column_retired", f"col{col}")
@@ -522,12 +572,7 @@ class FabricRuntime:
                     if movable is not None
                     else None
                 )
-                steps = plan_defrag_pass(
-                    self.device,
-                    {n: m.region for n, m in self._modules.items()},
-                    self.blacklist_regions(),
-                    movable=movable_set,
-                )
+                steps = self._plan_defrag_pass(movable_set)
                 if not steps:
                     break
                 progressed = False
@@ -661,11 +706,13 @@ class FabricRuntime:
         if self.memory is not None:
             self.memory.configure(payload)
             module.bitstream = staged
+        self._vacate(module.name, step.source)
         module.placement = PlacedPRR(
             device=self.device,
             geometry=module.placement.geometry,
             region=step.target,
         )
+        self._occupy(module.name, step.target)
         txn.phase = "activated"
         if hook is not None:
             hook("free", step)
@@ -696,12 +743,71 @@ class FabricRuntime:
     def _try_place(
         self, group: tuple[PRMRequirements, ...]
     ) -> PlacedPRR | None:
+        key = ("place", self._layout(), group)
+        placement = self._layout_table.get(key, _MISSING)
+        if placement is not _MISSING:
+            return placement
         forbidden = self.occupied_regions()
         forbidden.extend(self.blacklist_regions())
         try:
-            return find_prr(self.device, group, forbidden=forbidden)
+            placement = find_prr(self.device, group, forbidden=forbidden)
         except PlacementNotFoundError:
-            return None
+            placement = None
+        return self._remember(key, placement)
+
+    def _plan_defrag_pass(
+        self, movable: frozenset[str] | None
+    ) -> tuple[MigrationStep, ...]:
+        named = self._named_key
+        if named is None:
+            named = self._named_key = frozenset(self._named)
+        key = ("plan", named, self._layout()[1], movable)
+        steps = self._layout_table.get(key, _MISSING)
+        if steps is _MISSING:
+            steps = self._remember(
+                key,
+                tuple(
+                    plan_defrag_pass(
+                        self.device,
+                        {n: m.region for n, m in self._modules.items()},
+                        self.blacklist_regions(),
+                        movable=movable,
+                    )
+                ),
+            )
+        return steps
+
+    def _layout(self) -> tuple[frozenset[Region], frozenset[int]]:
+        """The current layout's key: occupied regions and retired columns."""
+        key = self._layout_key
+        if key is None:
+            key = self._layout_key = (
+                frozenset(self._occupied),
+                frozenset(self._retired_columns),
+            )
+        return key
+
+    def _occupy(self, name: str, region: Region) -> None:
+        self._occupied.add(region)
+        self._named.add((name, region))
+        self._layout_changed()
+
+    def _vacate(self, name: str, region: Region) -> None:
+        self._occupied.discard(region)
+        self._named.discard((name, region))
+        self._layout_changed()
+
+    def _layout_changed(self) -> None:
+        self._layout_key = None
+        self._named_key = None
+
+    def _remember(self, key: tuple, answer: Any) -> Any:
+        """Store one layout-pure *answer*, clearing a full table first."""
+        table = self._layout_table
+        if len(table) >= LAYOUT_TABLE_CAP:
+            table.clear()
+        table[key] = answer
+        return answer
 
     def _install(self, module: FabricModule, now: float) -> None:
         if self.memory is not None:
@@ -710,6 +816,7 @@ class FabricRuntime:
             )
             self.memory.configure(module.bitstream.to_bytes())
         self._modules[module.name] = module
+        self._occupy(module.name, module.region)
         self.admissions += 1
         self.port_seconds_total += (
             module.bitstream_bytes / self.config.port_bytes_per_s
@@ -727,7 +834,10 @@ class FabricRuntime:
         detail: str = "",
         clear_memory: bool = True,
     ) -> None:
-        self._modules.pop(module.name, None)
+        # A fault-displaced module is already out of the map, and another
+        # module may have been compacted into its stale region since.
+        if self._modules.pop(module.name, None) is not None:
+            self._vacate(module.name, module.region)
         if clear_memory and self.memory is not None:
             self.memory.clear_region(module.region)
         self._event(now, kind, f"{module.name} {detail}".strip())
@@ -761,6 +871,7 @@ class FabricRuntime:
         # Its current region sits on dead silicon: free it first so the
         # search (and any defrag) can use the healthy remainder.
         self._modules.pop(module.name)
+        self._vacate(module.name, module.region)
         if self.memory is not None:
             self.memory.clear_region(module.region)
         placement = self._try_place(module.group)
@@ -773,7 +884,6 @@ class FabricRuntime:
             placement = self._try_place(module.group)
         if placement is None:
             # Caller records the eviction; keep the module out of the map.
-            self._modules[module.name] = module
             return False
         module.placement = placement
         self._install(module, now)

@@ -1,5 +1,7 @@
 """Unit tests for the Fig. 1 placement search flow."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.params import PRMRequirements
@@ -13,6 +15,7 @@ from repro.core.placement_search import (
 from repro.core.prr_model import prr_geometry_for_rows
 from repro.devices.catalog import XC5VLX110T, XC6VLX75T
 from repro.devices.fabric import Region
+from repro.errors import InvalidInput
 
 from tests.conftest import PAPER_GEOMETRY, paper_requirements
 
@@ -108,6 +111,28 @@ class TestPlacementMechanics:
                     width=placed.region.width,
                 ),
             )
+
+    @pytest.mark.parametrize("mismatch", ["height", "width", "column mix"])
+    def test_mismatched_region_raises_invalid_input(self, mismatch):
+        prm = paper_requirements("fir", "virtex5")
+        placed = find_prr(XC5VLX110T, prm)
+        region = placed.region
+        if mismatch == "height":
+            region = dataclasses.replace(region, height=region.height + 1)
+        elif mismatch == "width":
+            region = dataclasses.replace(region, width=region.width + 1)
+        else:
+            region = next(
+                candidate
+                for col in range(1, XC5VLX110T.num_columns - region.width + 2)
+                if XC5VLX110T.is_valid_prr(
+                    candidate := dataclasses.replace(region, col=col)
+                )
+                and XC5VLX110T.region_column_counts(candidate)
+                != placed.geometry.columns
+            )
+        with pytest.raises(InvalidInput, match=mismatch):
+            PlacedPRR(device=placed.device, geometry=placed.geometry, region=region)
 
     def test_shared_prr_placement(self):
         prms = [

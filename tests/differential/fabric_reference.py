@@ -11,7 +11,10 @@ this module.
 * :func:`find_prr` — the Fig. 1 search that builds one validated
   placement per feasible H and takes the minimum;
 * :func:`plan_defrag_pass` — the planner that lists every compatible
-  region of a module before taking the bottom-left one.
+  region of a module before taking the bottom-left one;
+* :class:`KeepNothingRuntime` — a :class:`~repro.fabric.FabricRuntime`
+  whose layout table never stores, so every fragmentation, placement
+  and defrag-plan question is answered from scratch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.core.placement_search import (
     iter_feasible_placements,
 )
 from repro.devices import Device, Region
-from repro.fabric import MigrationStep
+from repro.fabric import FabricRuntime, MigrationStep
 from repro.relocation import find_compatible_regions
 
 
@@ -146,3 +149,13 @@ def plan_defrag_pass(
             steps.append(MigrationStep(name=name, source=source, target=best))
             current[name] = best
     return steps
+
+
+# -- runtime ----------------------------------------------------------------
+
+
+class KeepNothingRuntime(FabricRuntime):
+    """A runtime that recomputes every layout-pure answer (the table's oracle)."""
+
+    def _remember(self, key, answer):
+        return answer

@@ -2,10 +2,15 @@
 
 ``simulate_pr`` runs one dispatch loop with or without a fault injector;
 :mod:`tests.differential.scheduler_reference` keeps the fault-free loop
-it replaced.  Randomized task mixes, arrival processes, PRR counts and
+it replaced.  Randomized task mixes, arrival processes, PRR sets and
 ICAP modes assert that both a run without an injector and a run with a
 zero-rate injector reproduce that oracle — every ``ScheduleResult``
 field must match, not just the headline numbers.
+
+Arrivals reach 5,000 jobs/s, up to six modules share up to three PRRs,
+and a PRR set may mix the shared geometry with each PRM's own, so
+several PRRs often reconfigure at once and the ``icap_exclusive`` arm
+has to serialize them on the single port.
 """
 
 import dataclasses
@@ -26,30 +31,40 @@ WORKLOADS = ("fir", "sdram", "mips")
 
 @st.composite
 def workloads(draw):
-    names = draw(
-        st.lists(st.sampled_from(WORKLOADS), min_size=1, max_size=3, unique=True)
-    )
+    # Up to six tasks over the three PRMs: a repeated PRM gets its own
+    # name, so it is a distinct module that swaps in and out of a PRR.
+    kinds = draw(st.lists(st.sampled_from(WORKLOADS), min_size=1, max_size=6))
     tasks = [
         HwTask(
-            paper_requirements(name, "virtex5"),
+            dataclasses.replace(
+                paper_requirements(kind, "virtex5"), name=f"{kind}{index}"
+            ),
             exec_seconds=draw(
                 st.floats(0.5e-3, 5e-3, allow_nan=False, allow_infinity=False)
             ),
         )
-        for name in names
+        for index, kind in enumerate(kinds)
     ]
+    rate_per_s = draw(st.floats(50.0, 5000.0))
     jobs = make_task_set(
         tasks,
-        rate_per_s=draw(st.floats(50.0, 400.0)),
-        horizon_s=draw(st.floats(0.05, 0.2)),
+        rate_per_s=rate_per_s,
+        # Cap the stream near 400 jobs so dense arrivals stay quick.
+        horizon_s=draw(st.floats(0.05, 0.2)) * min(1.0, 2000.0 / rate_per_s),
         seed=draw(st.integers(0, 10_000)),
     )
     try:
         shared = find_prr(XC5VLX110T, [t.prm for t in tasks])
     except PlacementNotFoundError:
         assume(False)  # no PRR shared by this mix — not this test's concern
-    prr_count = draw(st.integers(1, 3))
-    return jobs, [shared.geometry] * prr_count
+    prrs = [shared.geometry] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # Mixed geometries: each PRM also gets a PRR sized for it alone.
+        prrs += [
+            find_prr(XC5VLX110T, paper_requirements(kind, "virtex5")).geometry
+            for kind in sorted(set(kinds))
+        ]
+    return jobs, prrs
 
 
 @given(workloads(), st.booleans())

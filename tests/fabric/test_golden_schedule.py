@@ -65,14 +65,23 @@ def job_stream(device_name: str, seed: int = 7) -> list[Job]:
     return jobs
 
 
-def run_scenario(device_name: str, faults: str) -> dict:
-    """Run one scenario and return everything the golden file pins."""
+def scenario_runtime(
+    device_name: str, faults: str, runtime_cls: type[FabricRuntime] = FabricRuntime
+) -> FabricRuntime:
+    """A fresh runtime for one scenario, with its seeded injector."""
     injector = (
         FaultInjector.from_rates(seed=5, permanent_rate_per_s=40.0, fault_rate=0.5)
         if faults == "faults"
         else None
     )
-    runtime = FabricRuntime(DEVICES[device_name], injector=injector)
+    return runtime_cls(DEVICES[device_name], injector=injector)
+
+
+def run_scenario(
+    device_name: str, faults: str, runtime_cls: type[FabricRuntime] = FabricRuntime
+) -> dict:
+    """Run one scenario and return everything the golden file pins."""
+    runtime = scenario_runtime(device_name, faults, runtime_cls)
     result = simulate_on_fabric(
         job_stream(device_name), runtime, idle_retire_s=IDLE_RETIRE_S
     )

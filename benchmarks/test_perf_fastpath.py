@@ -1,12 +1,12 @@
 """Fast-path perf benchmark: indexed fabric queries and explorer modes.
 
-Quick-mode counterpart of ``scripts/bench_explorer.py`` (which writes the
-tracked ``BENCH_explorer.json``): asserts indexed/naive equivalence on
-the paper's six PRM/device cases plus a synthetic 10-PRM workload, and
-that the indexed ``find_column_window`` beats the naive scan.  Iteration
-counts are tight so the CI bench smoke stays fast; the speedup gate here
-is deliberately looser than the >= 5x the committed benchmark records,
-to tolerate loaded CI machines.
+Asserts indexed/naive ``find_column_window`` equivalence on the paper's
+six PRM/device cases plus a synthetic 10-PRM workload, and that the
+indexed query beats the test-only naive scan; this is the repo's only
+timing of that query.  Iteration counts are tight so the CI bench smoke
+stays fast; the 2x speedup gate is deliberately loose (a 2-vCPU Xeon
+host measured 5.9-59x per case) to tolerate loaded CI machines.  Explorer
+strategy timings are tracked by ``scripts/bench_explorer.py``.
 """
 
 from __future__ import annotations
@@ -17,11 +17,30 @@ from functools import partial
 import pytest
 
 from repro.core.explorer import explore, pareto_front
+from repro.core.prr_model import InfeasibleGeometryError, prr_geometry_for_rows
 from repro.devices import XC5VLX110T
 
 from benchmarks.conftest import BUILDERS, DEVICES
-from scripts.bench_explorer import WIDE_DEVICE, synthetic_prms, window_queries
+from scripts.bench_explorer import WIDE_DEVICE, synthetic_prms
 from tests.differential.placement_reference import find_column_window_naive
+
+
+def window_queries(device, prms) -> list:
+    """The column-mix queries a Fig. 1 search issues for *prms*."""
+    queries = []
+    for prm in prms:
+        for rows in range(1, device.rows + 1):
+            try:
+                geometry = prr_geometry_for_rows(
+                    prm,
+                    device.family,
+                    rows,
+                    single_dsp_column=device.has_single_dsp_column,
+                )
+            except InfeasibleGeometryError:
+                continue
+            queries.append(geometry.columns)
+    return queries
 
 
 def _mix_queries(device, reports):

@@ -7,9 +7,12 @@ polynomial is CRC-32C over 36-bit units; using zlib-compatible CRC-32 over
 the register-tagged byte stream preserves the protocol property that
 matters — any corrupted configuration word fails the final check).
 
-:meth:`ConfigCrc.update_words` folds a whole FDRI burst in one
-``zlib.crc32`` call over the same interleaved 5-byte records that
-:meth:`ConfigCrc.update` hashes one at a time, so both give one value.
+Each write is hashed as a 5-byte record: the register address byte, then
+the word big-endian.  :meth:`ConfigCrc.update` folds one record;
+:meth:`ConfigCrc.update_words` folds a whole run of writes to one
+register (an FDRI burst) by filling a packed ``(register, >u4 word)``
+record array with two field assignments and hashing it in one
+``zlib.crc32`` call, so both give one value.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import zlib
 import numpy as np
 
 __all__ = ["ConfigCrc"]
+
+#: One register write as hashed: address byte + big-endian word, packed.
+_RECORD = np.dtype([("register", "u1"), ("word", ">u4")])
 
 
 class ConfigCrc:
@@ -43,14 +49,14 @@ class ConfigCrc:
     def update_words(self, register: int, words) -> None:
         """Fold a run of writes to one register into the CRC.
 
-        Same value as calling :meth:`update` once per word: the records
-        are the ``(register, big-endian word)`` 5-byte units, hashed in
-        one ``zlib.crc32`` call.
+        Same value as calling :meth:`update` once per word.  *words* is a
+        sequence of ints or an array of any shape (native ``uint32`` or a
+        big-endian ``>u4`` view), taken in C order.
         """
-        be = np.asarray(words, dtype=">u4")
-        records = np.empty((be.size, 5), dtype=np.uint8)
-        records[:, 0] = register & 0xFF
-        records[:, 1:] = be.reshape(-1, 1).view(np.uint8)
+        flat = np.ravel(words)
+        records = np.empty(flat.size, dtype=_RECORD)
+        records["register"] = register & 0xFF
+        records["word"] = flat
         self._crc = zlib.crc32(records, self._crc)
 
     @property

@@ -19,27 +19,41 @@ Frame payloads are deterministic pseudo-data seeded by the design name
 (a real PRM's LUT masks/FF init values), so regeneration is reproducible.
 
 Each FDRI burst is built as one ``(frames + 1) x frame_words`` numpy
-``uint32`` array (the last row is the zero flush frame): the default
-xorshift payloads of all its frames advance together, one step per frame
-word, and the burst enters the configuration CRC in one
-:meth:`~repro.bitgen.crc.ConfigCrc.update_words` call.  The bitstream is
-held as its big-endian bytes.
+``uint32`` array (the last row is the zero flush frame) in a handful of
+numpy calls, whatever its size:
+
+* the burst's encoded FARs come from the row's per-column frame counts
+  as one array (:func:`_burst_fars`);
+* the default payloads are a 32-bit xorshift stream per frame.  xorshift
+  is linear over GF(2), so word *k* of a frame is the XOR of four
+  byte-indexed rows of a constant ``(4, 256, frame_words)`` table — four
+  ``take`` calls and three XORs per burst (:func:`_xorshift_frames`);
+* the burst enters the configuration CRC in one
+  :meth:`~repro.bitgen.crc.ConfigCrc.update_words` call.
+
+The bitstream is held as its big-endian bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..devices.fabric import Device, Region
+from ..devices.family import FAMILIES
 from ..devices.frames import (
     BLOCK_TYPE_BRAM_CONTENT,
     BLOCK_TYPE_CONFIG,
+    MAJOR_LIMIT,
+    MAJOR_SHIFT,
+    MINOR_LIMIT,
     FrameAddress,
     frames_in_column,
 )
+from ..errors import InvalidInput
 from .crc import ConfigCrc
 from .words import (
     BUS_WIDTH_DETECT,
@@ -67,15 +81,45 @@ __all__ = [
 VIRTUAL_IDCODE = 0x52EB2015
 
 
+def _xorshift_table(frame_words: int) -> "np.ndarray":
+    """The ``(4, 256, frame_words)`` table of :func:`_xorshift_frames`.
+
+    ``table[j, v]`` is the first *frame_words* xorshift32 outputs from
+    the state ``v << 8 * j``; built by stepping all 1,024 single-byte
+    basis states together.
+    """
+    state = (
+        np.arange(256, dtype=np.uint32)
+        << (np.arange(4, dtype=np.uint32)[:, None] * np.uint32(8))
+    ).reshape(-1)
+    table = np.empty((state.size, frame_words), dtype=np.uint32)
+    for step in range(frame_words):
+        state ^= state << 13
+        state ^= state >> 17
+        state ^= state << 5
+        table[:, step] = state
+    return table.reshape(4, 256, frame_words)
+
+
+#: Payload tables, one per frame length of the 32-bit-word families.
+_XORSHIFT_TABLES = {
+    frame_words: _xorshift_table(frame_words)
+    for frame_words in sorted(
+        {fam.frame_words for fam in FAMILIES.values() if fam.bytes_per_word == 4}
+    )
+}
+
+
 def _xorshift_frames(seed: int, fars: "np.ndarray", frame_words: int) -> "np.ndarray":
     """Pseudo-content of many frames: row *i* is the stream keyed by ``fars[i]``.
 
     *fars* is a ``uint32`` array of encoded frame addresses.
 
     A 32-bit xorshift stream keyed by (seed, FAR) — stable across runs and
-    platforms, which keeps bitstream regeneration reproducible.  The state
-    vector carries every frame at once, so the loop runs over the
-    *frame_words* steps, not over words.
+    platforms, which keeps bitstream regeneration reproducible.  Each
+    output word is a linear function of the start state, so it is the
+    XOR of the table rows picked by the state's four bytes.  A frame
+    length no catalog family uses gets its table built for the call.
     """
     state = (
         np.uint32(seed & 0xFFFFFFFF)
@@ -83,12 +127,13 @@ def _xorshift_frames(seed: int, fars: "np.ndarray", frame_words: int) -> "np.nda
         ^ np.uint32(0xDEADBEEF)
     )
     state[state == 0] = 1
-    out = np.empty((state.size, frame_words), dtype=np.uint32)
-    for step in range(frame_words):
-        state ^= state << 13
-        state ^= state >> 17
-        state ^= state << 5
-        out[:, step] = state
+    table = _XORSHIFT_TABLES.get(frame_words)
+    if table is None:
+        table = _xorshift_table(frame_words)
+    out = table[0].take(state & 0xFF, axis=0)
+    out ^= table[1].take((state >> 8) & 0xFF, axis=0)
+    out ^= table[2].take((state >> 16) & 0xFF, axis=0)
+    out ^= table[3].take(state >> 24, axis=0)
     return out
 
 
@@ -188,18 +233,40 @@ def _burst_fars(
     """Encoded FARs of one row's data frames, in burst order.
 
     Minors within a column, then the next covered column to the right;
-    columns without frames of *block_type* contribute none.
+    columns without frames of *block_type* contribute none.  Built from
+    the per-column frame counts as one array.
     """
-    runs = []
+    majors: list[int] = []
+    counts: list[int] = []
     for col in region.col_span:
         n_frames = frames_in_column(device, col, block_type)
         if n_frames:
-            # Encoding the last minor lets FrameAddress range-check the run.
-            last = FrameAddress(
-                block_type=block_type, row=row - 1, major=col - 1, minor=n_frames - 1
-            ).encode()
-            runs.append(np.arange(last - n_frames + 1, last + 1, dtype=np.uint32))
-    return np.concatenate(runs) if runs else np.empty(0, dtype=np.uint32)
+            majors.append(col - 1)
+            counts.append(n_frames)
+    if not counts:
+        return np.empty(0, dtype=np.uint32)
+    # Range-check once: encoding the last frame of the first column that
+    # does not fit (else of the first column) raises what checking each
+    # column's last frame in turn raised.
+    major, n_frames = next(
+        (
+            (major, n_frames)
+            for major, n_frames in zip(majors, counts)
+            if major >= MAJOR_LIMIT or n_frames > MINOR_LIMIT
+        ),
+        (majors[0], counts[0]),
+    )
+    last = FrameAddress(
+        block_type=block_type, row=row - 1, major=major, minor=n_frames - 1
+    ).encode()
+    row_far = last - (major << MAJOR_SHIFT) - (n_frames - 1)
+    # Frame i of the burst is its column's minor-0 FAR plus i less the
+    # frame total of the columns to its left.
+    starts = [
+        (row_far | major << MAJOR_SHIFT) - left
+        for major, left in zip(majors, accumulate(counts, initial=0))
+    ]
+    return (np.repeat(starts, counts) + np.arange(sum(counts))).astype(np.uint32)
 
 
 def _row_block(
@@ -247,7 +314,7 @@ def _row_block(
         for index, far in enumerate(fars.tolist()):
             payload = payload_fn(block_type, far)
             if len(payload) != fam.frame_words:
-                raise ValueError(
+                raise InvalidInput(
                     f"payload for FAR 0x{far:08X} has {len(payload)} words, "
                     f"expected {fam.frame_words}"
                 )
@@ -299,15 +366,15 @@ def generate_partial_bitstream(
     (:mod:`repro.relocation`).
     """
     if device.family.bytes_per_word != 4:
-        raise ValueError(
+        raise InvalidInput(
             "the generator emits 32-bit configuration words; family "
             f"{device.family.name!r} uses {device.family.bytes_per_word}-byte "
             "words"
         )
     if not device.is_valid_prr(region):
-        raise ValueError(f"{region} is not a valid PRR on {device.name}")
+        raise InvalidInput(f"{region} is not a valid PRR on {device.name}")
     if device.family.initial_words != 16 or device.family.final_words != 14:
-        raise ValueError(
+        raise InvalidInput(
             "generator header/trailer layouts are built for IW=16/FW=14"
         )
 
@@ -331,14 +398,14 @@ def generate_composite_bitstream(
     ``words`` covers all of them.
     """
     if not regions:
-        raise ValueError("at least one region is required")
+        raise InvalidInput("at least one region is required")
     if device.family.bytes_per_word != 4:
-        raise ValueError("the generator emits 32-bit configuration words")
+        raise InvalidInput("the generator emits 32-bit configuration words")
     for i, a in enumerate(regions):
         if not device.is_valid_prr(a):
-            raise ValueError(f"{a} is not a valid PRR on {device.name}")
+            raise InvalidInput(f"{a} is not a valid PRR on {device.name}")
         for b in list(regions)[i + 1 :]:
             if a.overlaps(b):
-                raise ValueError(f"regions {a} and {b} overlap")
+                raise InvalidInput(f"regions {a} and {b} overlap")
 
     return _assemble(device, regions, design_name, payload_fn)

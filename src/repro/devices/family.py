@@ -44,6 +44,16 @@ __all__ = [
 ]
 
 
+#: The :class:`DeviceFamily` field holding each column kind's CF count.
+_CONFIG_FRAME_FIELDS = {
+    ColumnKind.CLB: "cf_clb",
+    ColumnKind.DSP: "cf_dsp",
+    ColumnKind.BRAM: "cf_bram",
+    ColumnKind.IOB: "cf_iob",
+    ColumnKind.CLK: "cf_clk",
+}
+
+
 @dataclass(frozen=True, slots=True)
 class DeviceFamily:
     """All family-dependent constants used by the cost models.
@@ -120,14 +130,7 @@ class DeviceFamily:
 
     def config_frames(self, kind: ColumnKind) -> int:
         """Configuration (interconnect) frames for one column of *kind*."""
-        table = {
-            ColumnKind.CLB: self.cf_clb,
-            ColumnKind.DSP: self.cf_dsp,
-            ColumnKind.BRAM: self.cf_bram,
-            ColumnKind.IOB: self.cf_iob,
-            ColumnKind.CLK: self.cf_clk,
-        }
-        return table[kind]
+        return getattr(self, _CONFIG_FRAME_FIELDS[kind])
 
     @property
     def frame_bytes(self) -> int:

@@ -27,6 +27,9 @@ from .resources import ColumnKind
 __all__ = [
     "BLOCK_TYPE_CONFIG",
     "BLOCK_TYPE_BRAM_CONTENT",
+    "MAJOR_LIMIT",
+    "MAJOR_SHIFT",
+    "MINOR_LIMIT",
     "FrameAddress",
     "frames_in_column",
     "region_frame_counts",
@@ -52,6 +55,13 @@ _MAJOR_SHIFT = _MINOR_BITS
 _ROW_SHIFT = _MAJOR_SHIFT + _MAJOR_BITS
 _TOP_SHIFT = _ROW_SHIFT + _ROW_BITS
 _TYPE_SHIFT = _TOP_SHIFT + _TOP_BITS
+
+#: The layout array encoders need: the major field starts at bit
+#: ``MAJOR_SHIFT``; a valid FAR has ``major < MAJOR_LIMIT`` and
+#: ``minor < MINOR_LIMIT``.
+MAJOR_SHIFT = _MAJOR_SHIFT
+MAJOR_LIMIT = 1 << _MAJOR_BITS
+MINOR_LIMIT = 1 << _MINOR_BITS
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,13 +76,18 @@ def simulate_on_fabric(
     module_index: dict[str, int] = {}
     fault_clock = 0.0
 
+    # One predicate for the run: it reads the current job's ``now`` and
+    # ``task_name``, which the loop below rebinds.
+    now = 0.0
+    task_name = ""
+
+    def idle(name: str) -> bool:
+        return name != task_name and busy_until.get(name, 0.0) <= now
+
     with _obs.trace_span("fabric.simulate", jobs=len(jobs)):
         for job in sorted(jobs, key=lambda j: (j.arrival_seconds, j.job_id)):
             now = job.arrival_seconds
             task_name = job.task.name
-
-            def idle(name: str, _now: float = now, _keep: str = task_name) -> bool:
-                return name != _keep and busy_until.get(name, 0.0) <= _now
 
             # Permanent faults that arrived since the last job.
             if injector is not None and now > fault_clock:
@@ -105,12 +110,15 @@ def simulate_on_fabric(
 
             # Idle-retirement churn.
             if idle_retire_s is not None:
-                for name in sorted(runtime.module_names()):
-                    if name == task_name:
-                        continue
-                    if busy_until.get(name, 0.0) + idle_retire_s <= now:
-                        runtime.retire(name, now=now)
-                        busy_until.pop(name, None)
+                due = [
+                    name
+                    for name in runtime.modules
+                    if name != task_name
+                    and busy_until.get(name, 0.0) + idle_retire_s <= now
+                ]
+                for name in sorted(due):
+                    runtime.retire(name, now=now)
+                    busy_until.pop(name, None)
 
             module = runtime.get(task_name)
             reconfig_seconds = 0.0

@@ -6,6 +6,7 @@ import pytest
 from repro.bitgen.crc import ConfigCrc
 from repro.bitgen.generator import (
     frame_payload,
+    generate_composite_bitstream,
     generate_partial_bitstream,
 )
 from repro.bitgen.parser import BitstreamParseError, parse_bitstream
@@ -14,6 +15,7 @@ from repro.core.placement_search import find_prr
 from repro.devices.catalog import XC5VLX110T, XC6SLX45, XC6VLX75T
 from repro.devices.fabric import Region
 from repro.devices.resources import ColumnKind
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -63,6 +65,26 @@ class TestGenerator:
         with pytest.raises(ValueError, match="not a valid PRR"):
             generate_partial_bitstream(
                 XC5VLX110T, Region(row=1, col=1, height=1, width=1)
+            )
+
+    @pytest.mark.parametrize("expected", [InvalidInput, ValueError])
+    def test_invalid_regions_raise_typed_errors(self, expected):
+        """Typed as InvalidInput, still caught as the ValueError they were."""
+        region = clb_region(XC5VLX110T, width=2)
+        shifted = Region(row=1, col=region.col + 1, height=1, width=2)
+        with pytest.raises(expected, match="not a valid PRR"):
+            generate_partial_bitstream(
+                XC5VLX110T, Region(row=1, col=1, height=1, width=1)
+            )
+        with pytest.raises(expected, match="not a valid PRR"):
+            generate_composite_bitstream(
+                XC5VLX110T, [region, Region(row=1, col=1, height=1, width=1)]
+            )
+        with pytest.raises(expected, match="overlap"):
+            generate_composite_bitstream(XC5VLX110T, [region, shifted])
+        with pytest.raises(expected, match="has 3 words"):
+            generate_partial_bitstream(
+                XC5VLX110T, region, payload_fn=lambda block_type, far: [0, 1, 2]
             )
 
     def test_rejects_16_bit_families(self):

@@ -4,11 +4,17 @@ Test-only oracle for :mod:`repro.bitgen`: the generator, parser,
 ``frame_payload`` and configuration-memory frame walk exactly as they
 were before bursts were built and parsed as numpy arrays — one Python
 ``int`` and one :meth:`ConfigCrc.update` call per configuration word.
-The differential suite and ``benchmarks/test_perf_bitgen.py`` compare
-the library against it; nothing under ``src/`` imports it.
+Two array kernels the library replaced by cheaper ones are kept here
+too: the xorshift step loop that advanced a whole burst's payloads one
+frame word at a time (:func:`xorshift_frames_steps`) and the per-column
+FAR builder (:func:`burst_fars_per_column`).  The differential suite and
+``benchmarks/test_perf_bitgen.py`` compare the library against them;
+nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.bitgen.crc import ConfigCrc
 from repro.bitgen.generator import VIRTUAL_IDCODE
@@ -55,6 +61,41 @@ def frame_payload(seed, far_word, frame_words):
         state ^= (state << 5) & 0xFFFFFFFF
         words.append(state)
     return words
+
+
+def xorshift_frames_steps(seed, fars, frame_words):
+    """Payloads of many frames (row *i* keyed by ``fars[i]``), one step per word.
+
+    All frames' xorshift states advance together: *frame_words* steps of
+    six numpy calls each.
+    """
+    state = (
+        np.uint32(seed & 0xFFFFFFFF)
+        ^ (fars * np.uint32(0x9E3779B1))
+        ^ np.uint32(0xDEADBEEF)
+    )
+    state[state == 0] = 1
+    out = np.empty((state.size, frame_words), dtype=np.uint32)
+    for step in range(frame_words):
+        state ^= state << 13
+        state ^= state >> 17
+        state ^= state << 5
+        out[:, step] = state
+    return out
+
+
+def burst_fars_per_column(device, region, row, block_type):
+    """Encoded FARs of one row's data frames: a FrameAddress and an arange per column."""
+    runs = []
+    for col in region.col_span:
+        n_frames = frames_in_column(device, col, block_type)
+        if n_frames:
+            # Encoding the last minor lets FrameAddress range-check the run.
+            last = FrameAddress(
+                block_type=block_type, row=row - 1, major=col - 1, minor=n_frames - 1
+            ).encode()
+            runs.append(np.arange(last - n_frames + 1, last + 1, dtype=np.uint32))
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.uint32)
 
 
 def words_to_bytes(words):

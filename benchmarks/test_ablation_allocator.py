@@ -1,9 +1,10 @@
 """Ablation I: online PRR allocation with relocation-based defragmentation.
 
-A dynamic allocation/free stream fragments the fabric; the allocator that
-compacts live PRRs with compatibility-checked relocations sustains
-allocation streams the plain allocator fails.  Reported: failure counts
-with and without defragmentation, relocation work performed, and the
+A dynamic admit/retire stream fragments the fabric; the
+:class:`~repro.fabric.FabricRuntime` that compacts live modules with
+compatibility-checked migrations sustains admission streams the same
+runtime with ``auto_defrag`` off fails.  Reported: failure counts with
+and without defragmentation, migrations performed, and the
 external-fragmentation trajectory.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from repro.core.params import PRMRequirements
 from repro.devices import VIRTEX5, make_device
-from repro.multitask import AllocationFailed, PRRAllocator
+from repro.fabric import AdmissionError, FabricConfig, FabricRuntime
 
 
 def toy_device():
@@ -24,46 +25,48 @@ def prm(width_cols: int) -> PRMRequirements:
 
 
 def run_stream(defragment: bool, *, seed: int = 2015, steps: int = 120):
-    """A churn stream: random allocates (width 1-3) and frees."""
+    """A churn stream: random admissions (width 1-3) and retirements."""
     rng = np.random.default_rng(seed)
-    allocator = PRRAllocator(toy_device(), defragment=defragment)
+    config = FabricConfig() if defragment else FabricConfig(auto_defrag=False)
+    runtime = FabricRuntime(toy_device(), config=config)
     live: list[str] = []
     failures = 0
     next_id = 0
     for _ in range(steps):
         if live and rng.random() < 0.45:
             victim = live.pop(rng.integers(len(live)))
-            allocator.free(victim)
+            runtime.retire(victim)
         else:
             name = f"a{next_id}"
             next_id += 1
             try:
-                allocator.allocate(name, prm(int(rng.integers(1, 4))))
+                runtime.admit(name, prm(int(rng.integers(1, 4))))
                 live.append(name)
-            except AllocationFailed:
+            except AdmissionError:
                 failures += 1
-    return allocator, failures
+    return runtime, failures
 
 
 def test_defrag_reduces_failures(benchmark):
     def both():
         _, plain_failures = run_stream(defragment=False)
         compacting, defrag_failures = run_stream(defragment=True)
-        return plain_failures, defrag_failures, compacting.relocation_count
+        return plain_failures, defrag_failures, compacting.migrations
 
-    plain_failures, defrag_failures, relocations = benchmark(both)
+    plain_failures, defrag_failures, migrations = benchmark(both)
     assert defrag_failures <= plain_failures
-    assert relocations > 0
+    assert migrations > 0
     print()
     print(
         f"failures: plain={plain_failures} defrag={defrag_failures} "
-        f"(relocations performed: {relocations})"
+        f"(migrations performed: {migrations})"
     )
 
 
 def test_fragmentation_stays_bounded_with_defrag():
-    allocator, _ = run_stream(defragment=True, seed=7)
-    assert 0.0 <= allocator.external_fragmentation() <= 1.0
+    runtime, _ = run_stream(defragment=True, seed=7)
+    assert 0.0 <= runtime.fragmentation_index() <= 1.0
+    runtime.check_invariants()
 
 
 def test_streams_are_deterministic():

@@ -500,6 +500,8 @@ class FabricRuntime:
             ]
             # Highest priority first: it gets first pick of the space.
             for module in sorted(displaced, key=lambda m: (-m.priority, m.name)):
+                if module.name not in self._modules:
+                    continue  # evicted to make room for an earlier one
                 if not self._replace_module(
                     module, now, movable=movable, can_evict=can_evict
                 ):

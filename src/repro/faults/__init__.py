@@ -8,9 +8,9 @@ package supplies the failure side of the repo's otherwise-ideal models:
   :class:`FaultEvent` log record;
 * :mod:`injector` — a seedable :class:`FaultInjector` through which
   every probabilistic decision flows (deterministic experiments);
-* :mod:`reliable` — :class:`ReliableReconfigurer`, CRC-verify-after-
-  write with retry/backoff around
-  :func:`repro.icap.reconfig.simulate_reconfiguration`;
+* :mod:`reliable` — :func:`verified_write`, the one write → verify →
+  retry loop (a :class:`RetryPolicy` with backoff and a deadline), and
+  :func:`payload_crc`, the byte-level verify;
 * :mod:`degraded` — the policy of ``simulate_pr(..., faults=...)``:
   how many retries, when a failing PRR is quarantined and
   scrub-restored, and whether unplaceable jobs spill to the
@@ -31,11 +31,10 @@ from .models import (
     TransferBitFlipFault,
 )
 from .reliable import (
-    AttemptRecord,
-    ReliableReconfigResult,
-    ReliableReconfigurer,
     RetryPolicy,
+    VerifiedWrite,
     payload_crc,
+    verified_write,
 )
 from .serve_injectors import (
     ShardChaos,
@@ -56,10 +55,9 @@ __all__ = [
     "FaultInjector",
     "TransferOutcome",
     "RetryPolicy",
-    "AttemptRecord",
-    "ReliableReconfigResult",
-    "ReliableReconfigurer",
+    "VerifiedWrite",
     "payload_crc",
+    "verified_write",
     "DegradedModePolicy",
     "ShardChaos",
     "corrupt_cache_entry",

@@ -1,11 +1,11 @@
 """Degraded-mode policy for fault-aware hardware multitasking.
 
 :func:`repro.multitask.scheduler.simulate_pr` runs one FCFS dispatch
-loop; given a seeded :class:`~repro.faults.injector.FaultInjector` it
-routes every reconfiguration through the verified write-retry protocol
-of :mod:`repro.faults.reliable` and reacts to persistent failures the
-way a resilient PR runtime would.  This module holds the knobs and
-bookkeeping of that reaction:
+loop and streams every reconfiguration through
+:func:`repro.faults.reliable.verified_write`; given a seeded
+:class:`~repro.faults.injector.FaultInjector` it reacts to persistent
+failures the way a resilient PR runtime would.  This module holds the
+knobs and bookkeeping of that reaction:
 
 * :class:`DegradedModePolicy` — **retry with backoff** (a corrupted or
   timed-out transfer re-streams the partial bitstream per the

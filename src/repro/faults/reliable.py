@@ -1,45 +1,51 @@
 """Verified reconfiguration with retry/backoff.
 
-FaRM-style controllers do not fire-and-forget: every DMA transfer into
-the ICAP is followed by a CRC verify, and a mismatch re-streams the
-bitstream.  :class:`ReliableReconfigurer` wraps
-:func:`repro.icap.reconfig.simulate_reconfiguration` with exactly that
-loop — CRC-verify-after-write using :class:`repro.bitgen.crc.ConfigCrc`
-semantics, a configurable :class:`RetryPolicy` (max attempts,
-exponential backoff, per-job deadline budget) and an attempt-by-attempt
-timing breakdown.
+FaRM-style controllers do not fire-and-forget: every transfer into the
+configuration port is followed by a CRC verify, and a mismatch
+re-streams the partial bitstream.  :func:`verified_write` is that loop
+as one pure function: the caller supplies the clean cost of one
+attempt, a :class:`RetryPolicy` and a callback that decides each
+attempt's fate; the function returns what the write cost and how it
+ended.  Its rule, which :func:`repro.multitask.scheduler.simulate_pr`
+charges for every reconfiguration:
 
-Two operating modes:
+* each attempt costs ``base_s + stall + verify_s`` (the stall comes from
+  the attempt's :class:`~repro.faults.injector.TransferOutcome`; a
+  timed-out attempt still pays it);
+* a clean attempt succeeds even when it ends past the policy's
+  deadline — success is checked first;
+* a failed attempt that ends past the deadline stops the write before
+  its backoff;
+* every other failed attempt but the last is followed by
+  :meth:`RetryPolicy.backoff_seconds` of idle time.
 
-* **byte level** — pass the actual bitstream ``bytes``: the injector
-  flips real bits in the received copy and the verify stage detects the
-  damage by re-accumulating the configuration CRC, the way the device
-  would;
-* **model level** — pass an ``int`` byte count: corruption is a
-  Bernoulli outcome and only the timing is modeled (what the
-  multitasking scheduler uses, where payload content is irrelevant).
+:func:`payload_crc` models the verify stage at byte level: a caller that
+streams real bytes (the fabric's ``verify="crc"`` migrations) flips
+bits in the received copy and lets the configuration CRC detect the
+damage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from ..bitgen.crc import ConfigCrc
 from ..bitgen.words import ConfigRegister, words_from_bytes
 from ..errors import InvalidInput
-from ..icap.controllers import ReconfigController
-from ..icap.reconfig import simulate_reconfiguration
-from ..icap.storage import StorageMedium
-from ..obs import trace as _obs
-from .injector import FaultInjector, TransferOutcome
+from .injector import TransferOutcome
 
 __all__ = [
+    "OutcomeAt",
     "RetryPolicy",
-    "AttemptRecord",
-    "ReliableReconfigResult",
-    "ReliableReconfigurer",
+    "VerifiedWrite",
     "payload_crc",
+    "verified_write",
 ]
+
+#: Fate of one attempt: ``(time_s, attempt) -> outcome``, where
+#: ``attempt`` is 1-based and ``None`` means a clean port.
+OutcomeAt = Callable[[float, int], TransferOutcome | None]
 
 
 def payload_crc(data: bytes) -> int:
@@ -92,211 +98,56 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True, slots=True)
-class AttemptRecord:
-    """Timing of one write-verify attempt."""
+class VerifiedWrite:
+    """What one verified write cost and how it ended."""
 
-    attempt: int  #: 1-based
-    fetch_seconds: float
-    write_seconds: float  #: port time including any stall
-    verify_seconds: float
-    backoff_seconds: float  #: delay charged *after* this attempt failed
-    outcome: str  #: ``ok`` | ``crc_mismatch`` | ``timeout`` | ``deadline``
-
-    @property
-    def total_seconds(self) -> float:
-        overlapped = max(self.fetch_seconds, self.write_seconds)
-        return overlapped + self.verify_seconds + self.backoff_seconds
-
-
-@dataclass
-class ReliableReconfigResult:
-    """Attempt-by-attempt outcome of one verified reconfiguration."""
-
-    bitstream_bytes: int
-    attempts: list[AttemptRecord] = field(default_factory=list)
-    success: bool = False
-    verified_crc: int | None = None  #: golden CRC (byte-level mode only)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(a.total_seconds for a in self.attempts)
+    attempts: int  #: attempts streamed (at least one)
+    spent_s: float  #: port, stall, verify and backoff time of all attempts
+    port_s: float  #: ``spent_s`` minus the backoff gaps
+    retry_s: float  #: time beyond the first attempt, backoff included
+    success: bool
+    deadline_missed: bool  #: the policy's deadline stopped the retries
 
     @property
     def retries(self) -> int:
-        """Attempts beyond the first."""
-        return max(0, len(self.attempts) - 1)
-
-    @property
-    def deadline_exceeded(self) -> bool:
-        return bool(self.attempts) and self.attempts[-1].outcome == "deadline"
-
-    def breakdown(self) -> str:
-        lines = [
-            f"attempt {a.attempt}: fetch {a.fetch_seconds * 1e6:.1f}us, "
-            f"write {a.write_seconds * 1e6:.1f}us, "
-            f"verify {a.verify_seconds * 1e6:.1f}us, "
-            f"backoff {a.backoff_seconds * 1e6:.1f}us -> {a.outcome}"
-            for a in self.attempts
-        ]
-        verdict = "ok" if self.success else "FAILED"
-        lines.append(
-            f"{verdict}: {self.bitstream_bytes} bytes in "
-            f"{self.total_seconds * 1e3:.3f}ms over {len(self.attempts)} attempt(s)"
-        )
-        return "\n".join(lines)
+        """Attempts beyond the first (each follows a failed one)."""
+        return self.attempts - 1
 
 
-class ReliableReconfigurer:
-    """CRC-verified, retrying wrapper around one controller + medium."""
+def verified_write(
+    base_s: float,
+    verify_s: float,
+    policy: RetryPolicy,
+    outcome_at: OutcomeAt,
+    start_s: float = 0.0,
+) -> VerifiedWrite:
+    """Stream one partial bitstream until it verifies or *policy* gives up.
 
-    def __init__(
-        self,
-        controller: ReconfigController,
-        medium: StorageMedium,
-        *,
-        policy: RetryPolicy | None = None,
-        injector: FaultInjector | None = None,
-        overlap: bool = True,
-        verify_bytes_per_s: float | None = None,
-    ) -> None:
-        if verify_bytes_per_s is not None and verify_bytes_per_s <= 0:
-            raise InvalidInput("verify_bytes_per_s must be positive when set")
-        self.controller = controller
-        self.medium = medium
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.injector = injector
-        self.overlap = overlap
-        # Verify = readback at the port's read rate unless told otherwise.
-        self.verify_bytes_per_s = (
-            verify_bytes_per_s
-            if verify_bytes_per_s is not None
-            else controller.peak_bytes_per_s
-        )
-
-    def reconfigure(
-        self, payload: bytes | int, *, now: float = 0.0, target: str = "prr"
-    ) -> ReliableReconfigResult:
-        """Stream *payload* until the CRC verifies or the policy gives up.
-
-        ``payload`` is either the partial bitstream bytes (byte-level
-        corruption + real CRC compare) or a byte count (timing model
-        only).  ``now`` anchors the injector's event timestamps.
-        """
-        data = payload if isinstance(payload, bytes) else None
-        nbytes = len(data) if data is not None else int(payload)
-        if nbytes < 0:
-            raise InvalidInput("payload size must be non-negative")
-        golden = payload_crc(data) if data is not None else None
-        base = simulate_reconfiguration(
-            nbytes, self.controller, self.medium, overlap=self.overlap
-        )
-        verify = nbytes / self.verify_bytes_per_s
-        result = ReliableReconfigResult(bitstream_bytes=nbytes, verified_crc=golden)
-
-        try:
-            return self._reconfigure_attempts(
-                data, now, target, base, verify, result
-            )
-        finally:
-            _publish_reliability_metrics(result)
-
-    def _reconfigure_attempts(
-        self,
-        data: bytes | None,
-        now: float,
-        target: str,
-        base,
-        verify: float,
-        result: ReliableReconfigResult,
-    ) -> ReliableReconfigResult:
-        golden = result.verified_crc
-        elapsed = 0.0
-        for attempt in range(1, self.policy.max_attempts + 1):
-            outcome = self._attempt_outcome(now + elapsed, target, attempt)
-            corrupted = outcome.corrupted
-            if data is not None and corrupted:
-                # Flip real bits and let the CRC *detect* the damage —
-                # the verify stage trusts the checksum, not the injector.
-                received = self._flip(data)
-                corrupted = payload_crc(received) != golden
-            write = base.write_seconds + outcome.stall_seconds
-            if outcome.timed_out:
-                status = "timeout"
-            elif corrupted:
-                status = "crc_mismatch"
-            else:
-                status = "ok"
-            failed = status != "ok"
-            last = attempt == self.policy.max_attempts
-            backoff = (
-                self.policy.backoff_seconds(attempt) if failed and not last else 0.0
-            )
-            record = AttemptRecord(
-                attempt=attempt,
-                fetch_seconds=base.fetch_seconds,
-                write_seconds=write,
-                verify_seconds=verify,
-                backoff_seconds=backoff,
-                outcome=status,
-            )
-            elapsed += record.total_seconds
-            if (
-                self.policy.deadline_s is not None
-                and elapsed > self.policy.deadline_s
-            ):
-                record = AttemptRecord(
-                    attempt=attempt,
-                    fetch_seconds=base.fetch_seconds,
-                    write_seconds=write,
-                    verify_seconds=verify,
-                    backoff_seconds=backoff,
-                    outcome="deadline",
-                )
-                result.attempts.append(record)
-                return result
-            result.attempts.append(record)
-            if not failed:
-                result.success = True
-                return result
-        return result
-
-    def _attempt_outcome(
-        self, now: float, target: str, attempt: int
-    ) -> TransferOutcome:
-        if self.injector is None:
-            return TransferOutcome(corrupted=False, stall_seconds=0.0, timed_out=False)
-        return self.injector.transfer_outcome(now, target, attempt=attempt)
-
-    def _flip(self, data: bytes) -> bytes:
-        flips = (
-            self.injector.transfer.bit_flips
-            if self.injector is not None and self.injector.transfer is not None
-            else 1
-        )
-        received = bytearray(data)
-        for _ in range(flips):
-            bit = int(self.injector.rng.integers(len(data) * 8))
-            received[bit // 8] ^= 1 << (bit % 8)
-        return bytes(received)
-
-
-def _publish_reliability_metrics(result: ReliableReconfigResult) -> None:
-    """Emit retry/fault counters for one verified reconfiguration.
-
-    No-op when observability is disabled; counters only (no span state),
-    so this is safe from any thread.
+    ``base_s`` is the clean port time of one attempt and ``verify_s``
+    its verify time; ``outcome_at`` is asked for each attempt's outcome
+    at ``start_s`` plus the time spent so far.  The deadline, when the
+    policy sets one, bounds the time spent from ``start_s``.
     """
-    registry = _obs.metrics()
-    if registry is None:
-        return
-    registry.counter("reconfig.attempts").inc(len(result.attempts))
-    registry.counter("reconfig.retries").inc(result.retries)
-    outcomes = [a.outcome for a in result.attempts]
-    registry.counter("reconfig.crc_mismatches").inc(
-        outcomes.count("crc_mismatch")
-    )
-    registry.counter("reconfig.timeouts").inc(outcomes.count("timeout"))
-    if result.deadline_exceeded:
-        registry.counter("reconfig.deadline_exceeded").inc(1)
-    if not result.success:
-        registry.counter("reconfig.failures").inc(1)
+    if base_s < 0 or verify_s < 0:
+        raise InvalidInput(
+            f"attempt times must be non-negative, got base_s={base_s}, "
+            f"verify_s={verify_s}"
+        )
+    spent = port = retry = 0.0
+    for attempt in range(1, policy.max_attempts + 1):
+        outcome = outcome_at(start_s + spent, attempt)
+        stall = 0.0 if outcome is None else outcome.stall_seconds
+        attempt_s = base_s + stall + verify_s
+        spent += attempt_s
+        port += attempt_s
+        if attempt > 1:
+            retry += attempt_s
+        if outcome is None or outcome.ok:
+            return VerifiedWrite(attempt, spent, port, retry, True, False)
+        if policy.deadline_s is not None and spent > policy.deadline_s:
+            return VerifiedWrite(attempt, spent, port, retry, False, True)
+        if attempt < policy.max_attempts:
+            backoff = policy.backoff_seconds(attempt)
+            spent += backoff
+            retry += backoff
+    return VerifiedWrite(policy.max_attempts, spent, port, retry, False, False)

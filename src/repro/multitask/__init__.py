@@ -5,7 +5,6 @@ bitstream-size-driven reconfiguration costs; a full-reconfiguration
 baseline quantifies the PR benefit.
 """
 
-from .allocator import Allocation, AllocationFailed, PRRAllocator
 from .metrics import Comparison, compare
 from .preemptive import (
     PreemptiveResult,
@@ -23,9 +22,6 @@ from .scheduler import (
 from .tasks import HwTask, Job, make_task_set, poisson_arrivals
 
 __all__ = [
-    "Allocation",
-    "AllocationFailed",
-    "PRRAllocator",
     "PriorityJob",
     "PreemptiveResult",
     "context_bytes",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InvalidInput
 from .scheduler import ScheduleResult
 
 __all__ = ["Comparison", "compare"]
@@ -68,5 +69,5 @@ def compare(
     compares via :attr:`Comparison.completion_rate_delta`.
     """
     if strict and len(pr.completed) != len(baseline.completed):
-        raise ValueError("runs completed different job counts")
+        raise InvalidInput("runs completed different job counts")
     return Comparison(pr=pr, baseline=baseline)

@@ -210,14 +210,17 @@ def simulate_pr(
     result's ``icap_busy_seconds`` lets callers derive the realized busy
     factor.
 
-    ``faults`` (a :class:`repro.faults.FaultInjector`) makes every
-    reconfiguration a verified write retried per ``fault_policy`` (a
-    :class:`~repro.faults.degraded.DegradedModePolicy`): failing PRRs are
-    quarantined and scrub-restored, background SEUs invalidate loaded
-    PRMs, and jobs no PRR can take spill to the full-reconfiguration
-    context when *device* is given (sizing the full bitstream) or are
-    dropped otherwise.  Without an injector no fault path is taken; a
-    zero-rate injector yields the same schedule.
+    Every reconfiguration is one
+    :func:`repro.faults.reliable.verified_write`, retried per
+    ``fault_policy`` (a :class:`~repro.faults.degraded.DegradedModePolicy`).
+    ``faults`` (a :class:`repro.faults.FaultInjector`) decides each
+    attempt's outcome: failing PRRs are quarantined and scrub-restored,
+    background SEUs invalidate loaded PRMs, and jobs no PRR can take
+    spill to the full-reconfiguration context when *device* is given
+    (sizing the full bitstream) or are dropped otherwise.  Without an
+    injector the port is clean and the default policy charges no verify
+    time, so each write is one attempt of ``bytes / port_bytes_per_s``;
+    a zero-rate injector yields the same schedule.
 
     ``prrs`` may also be a :class:`repro.fabric.FabricRuntime` — the run
     then schedules on the live fabric (dynamic admission, defrag on
@@ -233,6 +236,7 @@ def simulate_pr(
         _next_scrub_after,
         _record_fault_observations,
     )
+    from ..faults.reliable import verified_write
 
     if isinstance(prrs, FabricRuntime):
         if fault_policy is not None:
@@ -357,54 +361,30 @@ def simulate_pr(
                     base_t = state.partial_bitstream_bytes / port_bytes_per_s
                     if icap_exclusive:
                         start_ready = max(start_ready, icap_free_at)
-                    if faults is None:
-                        spent = port_time = base_t
-                    else:
-                        port_time = 0.0  # spent minus the backoff gaps
-                        verify = base_t * policy.verify_overhead_factor
-                        success = False
-                        attempts_streamed = 0
-                        retry_spent = 0.0  # time beyond the first attempt
-                        for attempt in range(1, retry.max_attempts + 1):
-                            outcome = faults.transfer_outcome(
-                                start_ready + spent,
-                                f"prr{state.index}",
-                                attempt=attempt,
-                            )
-                            attempt_time = base_t + outcome.stall_seconds + verify
-                            spent += attempt_time
-                            port_time += attempt_time
-                            attempts_streamed += 1
-                            if attempt > 1:
-                                retry_spent += attempt_time
-                            if outcome.ok:
-                                # A failed write empties the PRR, so only a
-                                # successful write can end its failure streak.
-                                failed_streak[state.index] = 0
-                                success = True
-                                break
-                            if (
-                                retry.deadline_s is not None
-                                and spent > retry.deadline_s
-                            ):
-                                result.deadline_misses += 1
-                                break
-                            if attempt < retry.max_attempts:
-                                result.retries += 1
-                                backoff = retry.backoff_seconds(attempt)
-                                spent += backoff
-                                retry_spent += backoff
-                        if track:
-                            streamed_bytes += (
-                                attempts_streamed * state.partial_bitstream_bytes
-                            )
-                            streamed_port_seconds += port_time
-                            if retry_spent > 0:
-                                retry_events.append(retry_spent)
-                    state.reconfig_seconds += port_time
+                    write = verified_write(
+                        base_t,
+                        base_t * policy.verify_overhead_factor,
+                        retry,
+                        _port_outcomes(faults, f"prr{state.index}"),
+                        start_ready,
+                    )
+                    spent, success = write.spent_s, write.success
+                    result.retries += write.retries
+                    result.deadline_misses += write.deadline_missed
+                    if track:
+                        streamed_bytes += (
+                            write.attempts * state.partial_bitstream_bytes
+                        )
+                        streamed_port_seconds += write.port_s
+                        if write.retry_s > 0:
+                            retry_events.append(write.retry_s)
+                    state.reconfig_seconds += write.port_s
                     if icap_exclusive:
                         icap_free_at = start_ready + spent
                     if success:
+                        # A failed write empties the PRR, so only a
+                        # successful write can end its failure streak.
+                        failed_streak[state.index] = 0
                         state.loaded_prm = job.task.name
                         state.reconfig_count += 1
                     else:
@@ -555,6 +535,21 @@ def simulate_full_reconfig(
     if _obs.enabled:
         result.trace = _obs.snapshot()
     return result
+
+
+def _clean_port(time_s: float, attempt: int) -> None:
+    """Attempt outcome without an injector: every write verifies."""
+    return None
+
+
+def _port_outcomes(faults, target: str):
+    """Each write attempt's fate on *target*: the injector's draw, or a
+    clean port when there is no injector."""
+    if faults is None:
+        return _clean_port
+    return lambda time_s, attempt: faults.transfer_outcome(
+        time_s, target, attempt=attempt
+    )
 
 
 def fitting_index(states: list[PRRState]) -> Callable[[Job], list[PRRState]]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.params import PRMRequirements
+from ..errors import InvalidInput
 
 __all__ = ["HwTask", "Job", "make_task_set", "poisson_arrivals"]
 
@@ -26,7 +27,7 @@ class HwTask:
 
     def __post_init__(self) -> None:
         if self.exec_seconds <= 0:
-            raise ValueError("exec_seconds must be positive")
+            raise InvalidInput("exec_seconds must be positive")
 
     @property
     def name(self) -> str:
@@ -43,7 +44,7 @@ class Job:
 
     def __post_init__(self) -> None:
         if self.arrival_seconds < 0:
-            raise ValueError("arrival time must be non-negative")
+            raise InvalidInput("arrival time must be non-negative")
 
 
 def poisson_arrivals(
@@ -51,7 +52,7 @@ def poisson_arrivals(
 ) -> list[float]:
     """Deterministic Poisson arrival times over ``[0, horizon_s)``."""
     if rate_per_s <= 0 or horizon_s <= 0:
-        raise ValueError("rate and horizon must be positive")
+        raise InvalidInput("rate and horizon must be positive")
     rng = np.random.default_rng(seed)
     times: list[float] = []
     t = 0.0
@@ -75,7 +76,7 @@ def make_task_set(
     with a seeded shuffle so inter-arrival orderings vary between seeds.
     """
     if not tasks:
-        raise ValueError("need at least one task")
+        raise InvalidInput("need at least one task")
     arrivals = poisson_arrivals(rate_per_s, horizon_s, seed=seed)
     rng = np.random.default_rng(seed + 1)
     order: list[HwTask] = []

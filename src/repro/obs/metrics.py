@@ -57,12 +57,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "fabric.migrations",
         "fabric.rollbacks",
         "faults.events",
-        "reconfig.attempts",
-        "reconfig.crc_mismatches",
-        "reconfig.deadline_exceeded",
-        "reconfig.failures",
-        "reconfig.retries",
-        "reconfig.timeouts",
         "sched.completion_rate",
         "sched.deadline_misses",
         "sched.failed_reconfigs",

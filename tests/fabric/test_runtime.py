@@ -300,6 +300,23 @@ class TestPermanentFaults:
         assert struck not in rt.get("hi").region.col_span
         rt.check_invariants()
 
+    def test_displaced_module_evicted_by_another_is_not_replaced(self):
+        # Regression (hypothesis counterexample): one column strikes two
+        # stacked modules; re-placing the higher-priority one evicts the
+        # other, which must then be skipped rather than re-placed.
+        device = synthetic_device(rows=2, clb_runs=(4,), name="two-rows")
+        per_col = device.family.clb_per_col * device.family.luts_per_clb
+        demand = PRMRequirements("strip", 4 * per_col, 4 * per_col, 4 * per_col)
+        rt = FabricRuntime(device)
+        hi = rt.admit("hi", demand, priority=1)
+        lo = rt.admit("lo", demand, priority=0)
+        assert hi.region.col_span == lo.region.col_span
+        struck = hi.region.col
+        evicted = rt.retire_column(struck, can_evict=lambda name: True)
+        assert evicted == ["lo"] and rt.evictions == 1
+        assert struck not in rt.get("hi").region.col_span
+        rt.check_invariants()
+
     def test_quarantine_streak_escalates_to_retirement(self):
         rt = FabricRuntime(ROW, config=FabricConfig(escalation_streak=2))
         assert rt.note_quarantine(4) is False

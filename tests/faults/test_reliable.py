@@ -1,4 +1,4 @@
-"""Tests for verified reconfiguration with retry/backoff."""
+"""Tests for the one verified write: retry, backoff and the deadline rule."""
 
 import pytest
 
@@ -7,19 +7,42 @@ from repro.core.placement_search import find_prr
 from repro.devices.catalog import XC5VLX110T
 from repro.faults import (
     ControllerStallFault,
+    DegradedModePolicy,
     FaultInjector,
-    ReliableReconfigurer,
     RetryPolicy,
     TransferBitFlipFault,
+    TransferOutcome,
     payload_crc,
+    verified_write,
 )
 from repro.icap.controllers import DmaIcapController
 from repro.icap.reconfig import simulate_reconfiguration
 from repro.icap.storage import DDR_SDRAM
+from repro.multitask import HwTask, Job, simulate_pr
 
 from tests.conftest import paper_requirements
 
 CONTROLLER = DmaIcapController()
+BASE_S = 100e-6  #: clean port time of one attempt in the loop tests
+
+
+def clean(time_s, attempt):
+    return None
+
+
+def injected(injector, target="prr0", seen=None):
+    """The injector's draw for each attempt, optionally logging its time."""
+
+    def outcome_at(time_s, attempt):
+        if seen is not None:
+            seen.append(time_s)
+        return injector.transfer_outcome(time_s, target, attempt=attempt)
+
+    return outcome_at
+
+
+def always_corrupted(seed=1):
+    return FaultInjector(seed=seed, transfer=TransferBitFlipFault(1.0))
 
 
 class TestRetryPolicy:
@@ -59,115 +82,121 @@ class TestPayloadCrc:
 
 class TestFaultFree:
     def test_single_clean_attempt_matches_simulate_reconfiguration(self):
-        rel = ReliableReconfigurer(CONTROLLER, DDR_SDRAM, verify_bytes_per_s=1e12)
-        result = rel.reconfigure(100_000)
         base = simulate_reconfiguration(100_000, CONTROLLER, DDR_SDRAM)
-        assert result.success and len(result.attempts) == 1
-        assert result.retries == 0
         verify = 100_000 / 1e12
-        assert result.total_seconds == pytest.approx(
-            base.total_seconds + verify, rel=1e-9
-        )
+        write = verified_write(base.total_seconds, verify, RetryPolicy(), clean)
+        assert write.success and write.attempts == 1
+        assert write.retries == 0 and write.retry_s == 0.0
+        assert not write.deadline_missed
+        assert write.spent_s == write.port_s == base.total_seconds + verify
+
+    def test_no_verify_time_charges_exactly_the_base(self):
+        write = verified_write(0.1, 0.0, RetryPolicy(), clean)
+        assert write.spent_s == write.port_s == 0.1
 
     def test_negative_size_rejected(self):
-        rel = ReliableReconfigurer(CONTROLLER, DDR_SDRAM)
-        with pytest.raises(ValueError):
-            rel.reconfigure(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            verified_write(-1.0, 0.0, RetryPolicy(), clean)
 
-    def test_bad_verify_rate_rejected(self):
-        with pytest.raises(ValueError, match="verify_bytes_per_s"):
-            ReliableReconfigurer(CONTROLLER, DDR_SDRAM, verify_bytes_per_s=0)
+    def test_negative_verify_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            verified_write(1.0, -1e-6, RetryPolicy(), clean)
 
 
 class TestRetryLoop:
     def test_always_corrupted_exhausts_attempts(self):
-        injector = FaultInjector(seed=1, transfer=TransferBitFlipFault(1.0))
-        rel = ReliableReconfigurer(
-            CONTROLLER,
-            DDR_SDRAM,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=4),
+        policy = RetryPolicy(max_attempts=4)
+        seen: list[float] = []
+        write = verified_write(
+            BASE_S, 0.0, policy, injected(always_corrupted(), seen=seen), 1.0
         )
-        result = rel.reconfigure(10_000)
-        assert not result.success
-        assert len(result.attempts) == 4
-        assert [a.outcome for a in result.attempts] == ["crc_mismatch"] * 4
+        assert not write.success and not write.deadline_missed
+        assert write.attempts == 4 and write.retries == 3
+        assert write.port_s == pytest.approx(4 * BASE_S)
         # Backoff charged after every failed attempt except the last.
-        assert [a.backoff_seconds > 0 for a in result.attempts] == [
-            True,
-            True,
-            True,
-            False,
-        ]
+        backoffs = [policy.backoff_seconds(n) for n in (1, 2, 3)]
+        assert write.spent_s == pytest.approx(4 * BASE_S + sum(backoffs))
+        assert write.retry_s == pytest.approx(3 * BASE_S + sum(backoffs))
+        # Each attempt is drawn at the start time plus the time spent.
+        assert seen == pytest.approx(
+            [1.0 + n * BASE_S + sum(backoffs[:n]) for n in range(4)]
+        )
 
     def test_timeout_outcome_recorded(self):
         injector = FaultInjector(
             seed=2,
             stall=ControllerStallFault(1.0, stall_seconds=1e-3, timeout_probability=1.0),
         )
-        rel = ReliableReconfigurer(
-            CONTROLLER, DDR_SDRAM, injector=injector, policy=RetryPolicy.no_retry()
+        write = verified_write(
+            BASE_S, 0.0, RetryPolicy.no_retry(), injected(injector)
         )
-        result = rel.reconfigure(10_000)
-        assert not result.success
-        assert result.attempts[0].outcome == "timeout"
+        assert not write.success and write.attempts == 1
+        assert injector.fault_counts == {"timeout": 1}
         # The stall still consumed port time.
-        assert result.attempts[0].write_seconds > 1e-3
+        assert write.port_s == write.spent_s == pytest.approx(BASE_S + 1e-3)
 
     def test_deadline_budget_aborts(self):
-        injector = FaultInjector(seed=3, transfer=TransferBitFlipFault(1.0))
-        rel = ReliableReconfigurer(
-            CONTROLLER,
-            DDR_SDRAM,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=100, deadline_s=2e-3),
+        policy = RetryPolicy(max_attempts=100, deadline_s=2e-3)
+        write = verified_write(
+            250e-6, 0.0, policy, injected(always_corrupted(seed=3))
         )
-        result = rel.reconfigure(100_000)
-        assert not result.success and result.deadline_exceeded
-        assert len(result.attempts) < 100
+        assert not write.success and write.deadline_missed
+        assert write.attempts < 100
+        assert write.spent_s > policy.deadline_s
 
     def test_eventual_success_counts_retries(self):
-        injector = FaultInjector(seed=7, transfer=TransferBitFlipFault(0.5))
-        rel = ReliableReconfigurer(
-            CONTROLLER,
-            DDR_SDRAM,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=50),
+        injector = FaultInjector(seed=7, transfer=TransferBitFlipFault(0.8))
+        write = verified_write(
+            BASE_S, 0.0, RetryPolicy(max_attempts=50), injected(injector)
         )
-        result = rel.reconfigure(10_000)
-        assert result.success
-        assert result.attempts[-1].outcome == "ok"
-        assert result.retries == len(result.attempts) - 1
+        assert write.success
+        assert write.retries == write.attempts - 1 >= 1
+        assert injector.fault_counts["transfer_bitflip"] == write.retries
 
     def test_deterministic_given_seed(self):
         def run():
             injector = FaultInjector(seed=11, transfer=TransferBitFlipFault(0.4))
-            rel = ReliableReconfigurer(
-                CONTROLLER,
-                DDR_SDRAM,
-                injector=injector,
-                policy=RetryPolicy(max_attempts=10),
+            return verified_write(
+                50e-6, 5e-6, RetryPolicy(max_attempts=10), injected(injector)
             )
-            return rel.reconfigure(50_000)
 
-        first, second = run(), run()
-        assert first.attempts == second.attempts
-        assert first.total_seconds == second.total_seconds
+        assert run() == run()
 
-    def test_breakdown_renders_every_attempt(self):
-        injector = FaultInjector(seed=1, transfer=TransferBitFlipFault(1.0))
-        rel = ReliableReconfigurer(
-            CONTROLLER,
-            DDR_SDRAM,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=2),
+
+class TestDeadlineRule:
+    """Success is checked before the deadline; a failure past it stops
+    the write before its backoff."""
+
+    def test_success_past_deadline_counts_as_success(self):
+        write = verified_write(1e-3, 0.0, RetryPolicy(deadline_s=1e-6), clean)
+        assert write.success and not write.deadline_missed
+        assert write.spent_s == 1e-3
+
+    def test_failure_past_deadline_stops_before_backoff(self):
+        policy = RetryPolicy(max_attempts=5, backoff_base_s=1e-4, deadline_s=1.5e-3)
+        write = verified_write(1e-3, 0.0, policy, injected(always_corrupted()))
+        # Attempt 1 ends inside the budget and backs off; attempt 2 ends
+        # past it and stops with no second backoff.
+        assert write.deadline_missed and not write.success
+        assert write.attempts == 2
+        assert write.spent_s == pytest.approx(2e-3 + policy.backoff_seconds(1))
+
+    def test_simulate_pr_completes_job_past_deadline(self):
+        fir = HwTask(paper_requirements("fir", "virtex5"), 1e-3)
+        prr = find_prr(XC5VLX110T, fir.prm).geometry
+        result = simulate_pr(
+            [Job(fir, 0.0, 0)],
+            [prr],
+            faults=FaultInjector.from_rates(seed=0),
+            fault_policy=DegradedModePolicy(retry=RetryPolicy(deadline_s=1e-9)),
         )
-        text = rel.reconfigure(1_000).breakdown()
-        assert "attempt 1" in text and "attempt 2" in text and "FAILED" in text
+        assert len(result.completed) == 1
+        assert result.completed[0].reconfig_seconds > 1e-9
+        assert result.deadline_misses == 0 and result.failed_reconfigs == 0
 
 
 class TestByteLevel:
-    """Real partial bitstream: corruption detected by the CRC itself."""
+    """Real partial bitstream: the CRC itself detects the corruption."""
 
     @pytest.fixture(scope="class")
     def bitstream_bytes(self):
@@ -176,22 +205,45 @@ class TestByteLevel:
             XC5VLX110T, placed.region, design_name="sdram"
         ).to_bytes()
 
+    @staticmethod
+    def crc_verified(injector, data, mismatches):
+        """Stream *data* through the injector and verify the received copy."""
+        golden = payload_crc(data)
+
+        def outcome_at(time_s, attempt):
+            received, _ = injector.corrupt_bytes(data, time_s, "prr0", attempt=attempt)
+            corrupted = payload_crc(received) != golden
+            mismatches.append(corrupted)
+            return TransferOutcome(
+                corrupted=corrupted, stall_seconds=0.0, timed_out=False
+            )
+
+        return outcome_at
+
+    def write(self, injector, data, mismatches, policy):
+        base = simulate_reconfiguration(len(data), CONTROLLER, DDR_SDRAM)
+        verify = len(data) / CONTROLLER.peak_bytes_per_s
+        return verified_write(
+            base.total_seconds,
+            verify,
+            policy,
+            self.crc_verified(injector, data, mismatches),
+        )
+
     def test_clean_transfer_verifies(self, bitstream_bytes):
-        rel = ReliableReconfigurer(CONTROLLER, DDR_SDRAM)
-        result = rel.reconfigure(bitstream_bytes)
-        assert result.success
-        assert result.verified_crc == payload_crc(bitstream_bytes)
+        mismatches: list[bool] = []
+        write = self.write(
+            FaultInjector(seed=1), bitstream_bytes, mismatches, RetryPolicy()
+        )
+        assert write.success and write.attempts == 1
+        assert mismatches == [False]
 
     def test_injected_flip_caught_by_crc_then_retried(self, bitstream_bytes):
         injector = FaultInjector(seed=1, transfer=TransferBitFlipFault(0.7))
-        rel = ReliableReconfigurer(
-            CONTROLLER,
-            DDR_SDRAM,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=30),
+        mismatches: list[bool] = []
+        write = self.write(
+            injector, bitstream_bytes, mismatches, RetryPolicy(max_attempts=30)
         )
-        result = rel.reconfigure(bitstream_bytes)
-        assert result.success
-        mismatches = [a for a in result.attempts if a.outcome == "crc_mismatch"]
-        assert len(mismatches) == result.retries >= 1
-        assert injector.fault_counts["transfer_bitflip"] == len(mismatches)
+        assert write.success
+        assert sum(mismatches) == write.retries >= 1
+        assert injector.fault_counts["transfer_bitflip"] == sum(mismatches)

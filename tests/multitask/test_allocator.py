@@ -1,12 +1,20 @@
-"""Tests for the runtime PRR allocator and defragmentation."""
+"""Online PRR allocation and defragmentation on :class:`FabricRuntime`.
+
+The runtime is the one online allocator: ``admit`` places a PRR for a
+demand around the live modules, ``retire`` frees it, and an admission
+that fails (or finds the fabric too fragmented) runs a defrag pass of
+compatibility-checked migrations first unless ``auto_defrag`` is off.
+"""
 
 import pytest
 
 from repro.core.params import PRMRequirements
 from repro.devices.catalog import XC5VLX110T
-from repro.multitask.allocator import AllocationFailed, PRRAllocator
+from repro.fabric import AdmissionError, FabricConfig, FabricRuntime
 
 from tests.conftest import paper_requirements
+
+NO_DEFRAG = FabricConfig(auto_defrag=False)
 
 
 def small_prm(name, pairs=300):
@@ -15,49 +23,49 @@ def small_prm(name, pairs=300):
 
 class TestAllocateFree:
     def test_allocate_places_validly(self):
-        allocator = PRRAllocator(XC5VLX110T)
-        allocation = allocator.allocate("a", small_prm("a"))
-        assert XC5VLX110T.is_valid_prr(allocation.region)
+        runtime = FabricRuntime(XC5VLX110T)
+        module = runtime.admit("a", small_prm("a"))
+        assert XC5VLX110T.is_valid_prr(module.region)
 
     def test_allocations_disjoint(self):
-        allocator = PRRAllocator(XC5VLX110T)
+        runtime = FabricRuntime(XC5VLX110T)
         regions = [
-            allocator.allocate(f"t{i}", small_prm(f"t{i}")).region
-            for i in range(4)
+            runtime.admit(f"t{i}", small_prm(f"t{i}")).region for i in range(4)
         ]
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 assert not a.overlaps(b)
 
     def test_duplicate_name_rejected(self):
-        allocator = PRRAllocator(XC5VLX110T)
-        allocator.allocate("a", small_prm("a"))
-        with pytest.raises(ValueError, match="already exists"):
-            allocator.allocate("a", small_prm("a"))
+        runtime = FabricRuntime(XC5VLX110T)
+        runtime.admit("a", small_prm("a"))
+        with pytest.raises(ValueError, match="already admitted"):
+            runtime.admit("a", small_prm("a"))
 
     def test_free_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            PRRAllocator(XC5VLX110T).free("ghost")
+        with pytest.raises(ValueError, match="ghost"):
+            FabricRuntime(XC5VLX110T).retire("ghost")
 
     def test_free_releases_space(self):
-        allocator = PRRAllocator(XC5VLX110T)
-        allocation = allocator.allocate("a", small_prm("a"))
-        allocator.free("a")
-        assert allocator.live_cells == 0
-        again = allocator.allocate("b", small_prm("b"))
-        assert again.region == allocation.region  # bottom-left reuse
+        runtime = FabricRuntime(XC5VLX110T)
+        module = runtime.admit("a", small_prm("a"))
+        runtime.retire("a")
+        assert not runtime.modules
+        again = runtime.admit("b", small_prm("b"))
+        assert again.region == module.region  # bottom-left reuse
 
     def test_paper_prms_allocate_together(self):
-        allocator = PRRAllocator(XC5VLX110T)
+        runtime = FabricRuntime(XC5VLX110T)
         for workload in ("fir", "mips", "sdram"):
-            allocator.allocate(workload, paper_requirements(workload, "virtex5"))
-        assert len(allocator.allocations) == 3
+            runtime.admit(workload, paper_requirements(workload, "virtex5"))
+        assert len(runtime.modules) == 3
+        runtime.check_invariants()
 
     def test_impossible_demand_fails(self):
-        allocator = PRRAllocator(XC5VLX110T)
-        with pytest.raises(AllocationFailed):
-            allocator.allocate("monster", PRMRequirements("m", 10**6, 10**6, 0))
-        assert allocator.failed_allocations == 1
+        runtime = FabricRuntime(XC5VLX110T)
+        with pytest.raises(AdmissionError):
+            runtime.admit("monster", PRMRequirements("m", 10**6, 10**6, 0))
+        assert runtime.admission_failures == 1
 
 
 class TestFragmentationAndDefrag:
@@ -77,46 +85,49 @@ class TestFragmentationAndDefrag:
     WIDE = PRMRequirements("wide", 640, 480, 320)
 
     def _fill_then_hole(self, defragment):
-        """Six width-2 tenants fill the row; freeing alternating tenants
+        """Six width-2 tenants fill the row; retiring alternating tenants
         leaves three width-2 holes — no width-4 window survives."""
-        allocator = PRRAllocator(self._toy(), defragment=defragment)
+        runtime = FabricRuntime(
+            self._toy(), config=None if defragment else NO_DEFRAG
+        )
         for i in range(6):
-            allocator.allocate(f"t{i}", self.TENANT)
+            runtime.admit(f"t{i}", self.TENANT)
         for i in range(0, 6, 2):
-            allocator.free(f"t{i}")
-        return allocator
+            runtime.retire(f"t{i}")
+        return runtime
 
     def test_fragmentation_metric_in_range(self):
-        allocator = self._fill_then_hole(defragment=False)
-        frag = allocator.external_fragmentation()
+        runtime = self._fill_then_hole(defragment=False)
         # 6 free cells, largest free rectangle is 2 wide -> frag = 2/3.
-        assert frag == pytest.approx(2 / 3)
+        assert runtime.fragmentation_index() == pytest.approx(2 / 3)
 
     def test_without_defrag_fails(self):
         plain = self._fill_then_hole(defragment=False)
-        with pytest.raises(AllocationFailed):
-            plain.allocate("wide", self.WIDE)
-        assert plain.failed_allocations == 1
+        with pytest.raises(AdmissionError):
+            plain.admit("wide", self.WIDE)
+        assert plain.admission_failures == 1
+        assert plain.migrations == 0
 
     def test_defrag_compacts_and_recovers(self):
-        allocator = self._fill_then_hole(defragment=True)
-        before = allocator.external_fragmentation()
-        allocation = allocator.allocate("wide", self.WIDE)
-        assert allocation.region.width == 4
-        assert allocator.relocation_count > 0
-        assert allocator.external_fragmentation() < before
+        runtime = self._fill_then_hole(defragment=True)
+        before = runtime.fragmentation_index()
+        module = runtime.admit("wide", self.WIDE)
+        assert module.region.width == 4
+        assert runtime.migrations > 0
+        assert runtime.fragmentation_index() < before
 
     def test_compaction_keeps_allocations_disjoint(self):
-        allocator = self._fill_then_hole(defragment=True)
-        allocator.allocate("wide", self.WIDE)
-        regions = allocator.occupied_regions()
+        runtime = self._fill_then_hole(defragment=True)
+        runtime.admit("wide", self.WIDE)
+        regions = runtime.occupied_regions()
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 assert not a.overlaps(b)
+        runtime.check_invariants()
 
     def test_moves_counted_per_allocation(self):
-        allocator = self._fill_then_hole(defragment=True)
-        allocator.allocate("wide", self.WIDE)
-        moved = [a for a in allocator.allocations.values() if a.moves]
-        assert moved
-        assert sum(a.moves for a in moved) == allocator.relocation_count
+        runtime = self._fill_then_hole(defragment=True)
+        runtime.admit("wide", self.WIDE)
+        moved = [e.detail.split(":")[0] for e in runtime.events if e.kind == "migrate"]
+        assert moved and set(moved) <= set(runtime.modules)
+        assert len(moved) == runtime.migrations

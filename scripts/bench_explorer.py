@@ -26,7 +26,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.explorer import explore, pareto_front  # noqa: E402
 from repro.core.params import PRMRequirements  # noqa: E402
-from repro.core.prr_model import clear_geometry_cache  # noqa: E402
 from repro.devices import XC5VLX110T  # noqa: E402
 from repro.devices.catalog import make_device  # noqa: E402
 from repro.devices.family import VIRTEX5  # noqa: E402
@@ -69,7 +68,6 @@ def synthetic_prms(count: int = 10) -> list[PRMRequirements]:
 def time_explore(device, prms, *, modes, repeats: int, **kwargs) -> dict:
     out = {}
     for mode in modes:
-        clear_geometry_cache()
         samples = []
         designs = []
         for _ in range(repeats):

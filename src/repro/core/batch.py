@@ -293,9 +293,8 @@ def batch_prr_geometry(
 
     ``lut_ff_pairs``/``dsps``/``brams`` are length-N integer arrays (or
     sequences).  Returns the full ``(N, device.rows)`` candidate grid —
-    the batch analogue of calling
-    :func:`~repro.core.prr_model.prr_geometry_for_rows` in the Fig. 1
-    H-loop for each PRM.
+    the batch analogue of one
+    :func:`~repro.core.prr_model.group_columns` call per PRM.
     """
     cols = device if isinstance(device, DeviceColumns) else device_columns(device)
     pairs = np.asarray(lut_ff_pairs, dtype=np.int64)

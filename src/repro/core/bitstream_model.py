@@ -149,12 +149,13 @@ def bitstream_size_bytes(geometry: PRRGeometry) -> int:
 def cached_bitstream_bytes(geometry: PRRGeometry) -> int:
     """Memoized :func:`bitstream_size_bytes`.
 
-    The search hot paths (objective comparisons in
-    :func:`~repro.core.placement_search.find_prr`, the explorer's
-    objective tuples and Pareto filtering) re-ask the same geometry's
-    byte count thousands of times; geometries are immutable, so the
-    answer is cached per geometry instead of rebuilding a
-    :class:`BitstreamEstimate` on every comparison.
+    The explorer's design objectives (``PRRAssignment.bitstream_bytes``,
+    summed per partition and compared in Pareto filtering) re-ask the
+    same geometry's byte count thousands of times, as does the
+    ``objective="bitstream"`` ranking of
+    :func:`~repro.core.placement_search.rank_candidates`; geometries are
+    immutable, so the answer is cached per geometry instead of
+    rebuilding a :class:`BitstreamEstimate` on every read.
     """
     return estimate_bitstream(geometry).total_bytes
 

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..devices.resources import ResourceVector
+from ..errors import InvalidInput
 
 __all__ = ["SizeSample", "FittedConstants", "fit_family_constants"]
 
@@ -54,9 +55,9 @@ class SizeSample:
 
     def __post_init__(self) -> None:
         if self.rows < 1:
-            raise ValueError("rows must be >= 1")
+            raise InvalidInput("rows must be >= 1")
         if self.total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
+            raise InvalidInput("total_bytes must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +82,7 @@ class FittedConstants:
 def _require_rank(matrix: np.ndarray, needed: int, what: str) -> None:
     rank = np.linalg.matrix_rank(matrix)
     if rank < needed:
-        raise ValueError(
+        raise InvalidInput(
             f"samples do not span the model ({what}): need geometries "
             f"varying independently in H, W_CLB, W_DSP, W_BRAM and "
             f"BRAM-presence (rank {rank} < {needed})"
@@ -97,12 +98,12 @@ def fit_family_constants(
     """Least-squares recovery of the eq. (18) constants from samples.
 
     Requires geometrically diverse samples (the design matrix must have
-    full column rank); raises :class:`ValueError` otherwise.
+    full column rank); raises :class:`~repro.errors.InvalidInput` otherwise.
     """
     if len(samples) < 6:
-        raise ValueError("need at least 6 samples to identify 6 coefficients")
+        raise InvalidInput("need at least 6 samples to identify 6 coefficients")
     if frame_words <= 0 or bytes_per_word <= 0:
-        raise ValueError("frame_words and bytes_per_word must be positive")
+        raise InvalidInput("frame_words and bytes_per_word must be positive")
 
     rows_list = []
     targets = []

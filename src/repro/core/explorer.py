@@ -27,8 +27,9 @@ Four search strategies share the evaluation machinery (see
 
 The shared machinery works per PRM subset, not per partition: eight
 PRMs have 255 subsets but 4,140 set partitions.  One run builds a
-:class:`~repro.core.fastpath.SubsetTable` (each subset's geometries
-ranked as the Fig. 1 search tries them, and its bounds) and interns each
+:class:`~repro.core.fastpath.SubsetTable` (each subset's geometries,
+from :func:`~repro.core.prr_model.group_columns`, ranked as the Fig. 1
+search tries them, and its bounds) and interns each
 distinct set of placed regions as an int occupancy state, so the Fig. 1
 step of a group against a state is computed once and every later
 partition that reaches that state reads it back.  Objectives are summed

@@ -8,8 +8,8 @@ and :mod:`~repro.core.explorer`:
   bisect to the overlap-candidate range and bail out early instead of
   scanning every forbidden region (the old O(n^2) pairwise loop).
 * :class:`SubsetTable` — one explorer run's table of PRM subsets as
-  bitmasks: each subset's merged per-H columns (built from per-PRM int
-  triples, one eqs. (1)–(6) evaluation per PRM and H), its feasible
+  bitmasks: each subset's per-H columns (merged from each PRM's
+  :func:`~repro.core.prr_model.group_columns` triples), its feasible
   geometries ranked by ``(size, H)`` as the Fig. 1 search tries them,
   and its :class:`GroupBounds`.  Eight PRMs have 255 subsets but 4,140
   set partitions, so every partition reads shared entries instead of
@@ -33,7 +33,7 @@ from ..devices.resources import ResourceVector
 from ..errors import InvalidInput
 from .bitstream_model import cached_bitstream_bytes
 from .params import PRMRequirements
-from .prr_model import InfeasibleGeometryError, PRRGeometry, _columns_for_prm
+from .prr_model import PRRGeometry, group_columns
 
 __all__ = [
     "RegionOccupancy",
@@ -120,18 +120,15 @@ class GroupBounds:
     min_bytes: int
 
 
-
-
 class SubsetTable:
     """Per-H geometry of every PRM subset one explorer run asks about.
 
-    Subsets are bitmasks over ``prms`` (bit ``i`` is ``prms[i]``).  The
-    per-PRM eqs. (1)–(6) columns are computed once per (PRM, H) as int
-    triples; a subset's columns at H are the elementwise max of its
-    lowest member's and the rest's (Section III.B's shared-PRR rule),
-    and are infeasible at H when any member is.  Entries fill on first
-    use, so a beam search over many PRMs only pays for the subsets it
-    visits.
+    Subsets are bitmasks over ``prms`` (bit ``i`` is ``prms[i]``).  Each
+    PRM's per-H columns are one :func:`~repro.core.prr_model.group_columns`
+    call; a subset's columns at H are the elementwise max of its lowest
+    member's and the rest's (Section III.B's shared-PRR rule), and are
+    infeasible at H when any member is.  Entries fill on first use, so a
+    beam search over many PRMs only pays for the subsets it visits.
 
     Each entry holds the subset's feasible geometries ranked by
     ``(PRR_size, H)`` — the order :func:`~repro.core.placement_search.
@@ -160,19 +157,11 @@ class SubsetTable:
         self.bytes: list[int] = []
         self._geometry_ids: dict[tuple[int, int, int, int], int] = {}
         self._entries: dict[int, tuple[tuple[int, ...], GroupBounds | None]] = {}
-        family = device.family
         single = device.has_single_dsp_column
-        self._columns: dict[int, tuple[tuple[int, int, int] | None, ...]] = {}
-        for index, prm in enumerate(self.prms):
-            per_h: list[tuple[int, int, int] | None] = []
-            for rows in range(1, device.rows + 1):
-                try:
-                    cols = _columns_for_prm(prm, family, rows, single)
-                except InfeasibleGeometryError:
-                    per_h.append(None)
-                    continue
-                per_h.append((cols.clb, cols.dsp, cols.bram))
-            self._columns[1 << index] = tuple(per_h)
+        self._columns: dict[int, tuple[tuple[int, int, int] | None, ...]] = {
+            1 << index: group_columns(prm, device.family, device.rows, single_dsp_column=single)
+            for index, prm in enumerate(self.prms)
+        }
 
     def columns(self, mask: int) -> tuple[tuple[int, int, int] | None, ...]:
         """Merged (W_CLB, W_DSP, W_BRAM) per H (index ``H - 1``)."""

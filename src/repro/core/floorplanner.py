@@ -23,16 +23,17 @@ from typing import Mapping, Sequence
 
 from ..devices.fabric import Device, Region
 from ..devices.freespace import fragmentation_index, free_cell_grid
-from ..errors import InfeasiblePlacement
+from ..devices.resources import ResourceVector
+from ..errors import InfeasiblePlacement, InvalidInput
 from .bitstream_model import bitstream_size_bytes
 from .params import PRMRequirements
 from .fastpath import RegionOccupancy
 from .placement_search import (
+    Candidate,
     PlacedPRR,
-    PlacementNotFoundError,
-    find_prr,
+    place_ranked,
+    rank_candidates,
 )
-from .prr_model import InfeasibleGeometryError, prr_geometry_for_rows
 
 __all__ = ["Floorplan", "FloorplanError", "floorplan", "render_floorplan"]
 
@@ -179,9 +180,11 @@ def floorplan(
         [g] if isinstance(g, PRMRequirements) else list(g) for g in groups
     ]
     if not normalized:
-        raise ValueError("at least one PRM group is required")
+        raise InvalidInput("at least one PRM group is required")
     names = tuple("+".join(p.name for p in group) for group in normalized)
     forbidden = tuple(forbidden)
+    # Ranked once per group; every placement order and the diagnostics reuse it.
+    ranked = [rank_candidates(device, group) for group in normalized]
 
     indices = list(range(len(normalized)))
     # Largest demand first is the strongest greedy order; then the rest.
@@ -206,7 +209,7 @@ def floorplan(
     budget_failed = False
     for order in orders:
         candidate, partial, failed = _place_in_order(
-            device, normalized, names, order, forbidden
+            device, ranked, names, order, forbidden
         )
         if not diag_recorded or len(partial) > len(best_partial):
             best_partial = partial
@@ -224,8 +227,8 @@ def floorplan(
             break
     if best is None:
         counts = {
-            name: _count_candidate_windows(device, group, forbidden)
-            for name, group in zip(names, normalized)
+            name: _count_candidate_windows(device, candidates, forbidden)
+            for name, candidates in zip(names, ranked)
         }
         reason = (
             "static-region budget unsatisfied"
@@ -244,7 +247,7 @@ def floorplan(
 
 def _count_candidate_windows(
     device: Device,
-    group: list[PRMRequirements],
+    ranked: Sequence[Candidate],
     forbidden: Sequence[Region] = (),
 ) -> int:
     """Count every placement window a demand group could occupy alone.
@@ -255,24 +258,16 @@ def _count_candidate_windows(
     :class:`FloorplanError` diagnostics report.  Zero means the demand
     is unplaceable even on the otherwise-empty fabric.
     """
-    occupancy = RegionOccupancy(tuple(forbidden))
+    occupancy = RegionOccupancy(forbidden)
     count = 0
-    for rows in range(1, device.rows + 1):
-        try:
-            geometry = prr_geometry_for_rows(
-                group,
-                device.family,
-                rows,
-                single_dsp_column=device.has_single_dsp_column,
-            )
-        except InfeasibleGeometryError:
-            continue
-        starts = device.feasible_window_starts(geometry.columns)
-        for row in range(1, device.rows - geometry.rows + 2):
+    for _, rows, clb, dsp, bram in ranked:
+        starts = device.feasible_window_starts(
+            ResourceVector(clb=clb, dsp=dsp, bram=bram)
+        )
+        width = clb + dsp + bram
+        for row in range(1, device.rows - rows + 2):
             for col in starts:
-                region = Region(
-                    row=row, col=col, height=geometry.rows, width=geometry.width
-                )
+                region = Region(row=row, col=col, height=rows, width=width)
                 if not occupancy.overlaps(region):
                     count += 1
     return count
@@ -280,7 +275,7 @@ def _count_candidate_windows(
 
 def _place_in_order(
     device: Device,
-    groups: list[list[PRMRequirements]],
+    ranked: list[tuple[Candidate, ...]],
     names: tuple[str, ...],
     order: list[int],
     forbidden: tuple[Region, ...] = (),
@@ -291,17 +286,16 @@ def _place_in_order(
     the second and third slots feed :class:`FloorplanError` diagnostics.
     """
     placed: dict[int, PlacedPRR] = {}
-    occupied: list[Region] = list(forbidden)
+    occupancy = RegionOccupancy(forbidden)
     partial: list[tuple[str, PlacedPRR]] = []
     for index in order:
-        try:
-            prr = find_prr(device, groups[index], forbidden=occupied)
-        except PlacementNotFoundError:
+        prr = place_ranked(device, ranked[index], occupancy)
+        if prr is None:
             return None, partial, names[index]
         placed[index] = prr
-        occupied.append(prr.region)
+        occupancy.add(prr.region)
         partial.append((names[index], prr))
-    ordered = tuple(placed[i] for i in range(len(groups)))
+    ordered = tuple(placed[i] for i in range(len(ranked)))
     return Floorplan(device=device, prrs=ordered, group_names=names), partial, None
 
 

@@ -25,23 +25,24 @@ keeps the feasible candidate minimizing the selected objective:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 from ..devices.fabric import Device, Region
+from ..devices.resources import ResourceVector
 from ..errors import InfeasiblePlacement, InvalidInput
 from .bitstream_model import cached_bitstream_bytes
 from .fastpath import RegionOccupancy
 from .params import PRMRequirements
-from .prr_model import (
-    InfeasibleGeometryError,
-    PRRGeometry,
-    prr_geometry_for_rows,
-)
+from .prr_model import PRRGeometry, group_columns
 from .utilization import UtilizationReport, utilization
 
 __all__ = [
     "PlacedPRR",
     "PlacementNotFoundError",
+    "Candidate",
+    "rank_candidates",
+    "place_ranked",
     "iter_feasible_placements",
     "find_prr",
     "SearchTrace",
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 Objective = Literal["size", "bitstream"]
+
+#: A ranked Fig. 1 candidate, plain ints: (objective, H, W_CLB, W_DSP, W_BRAM).
+Candidate = tuple[int, int, int, int, int]
 
 
 class PlacementNotFoundError(InfeasiblePlacement):
@@ -100,6 +104,55 @@ class PlacedPRR:
         )
 
 
+def rank_candidates(
+    device: Device,
+    requirements: PRMRequirements | Sequence[PRMRequirements],
+    *,
+    objective: Objective = "size",
+    max_rows: int | None = None,
+) -> tuple[Candidate, ...]:
+    """A group's Fig. 1 candidates, in the order the search tries them.
+
+    One :data:`Candidate` per geometry-feasible H up to ``max_rows``,
+    sorted by ``(PRR_size, H)``, or by ``(eq. (18) bytes, H)`` for
+    ``objective="bitstream"``.  The list depends only on the device and
+    the group, so a caller placing one group many times ranks it once.
+    """
+    limit = device.rows if max_rows is None else min(max_rows, device.rows)
+    single = device.has_single_dsp_column
+    per_h = group_columns(requirements, device.family, limit, single_dsp_column=single)
+    ranked = []
+    for rows, cols in enumerate(per_h, start=1):
+        if cols is not None:
+            if objective == "size":
+                key = rows * (cols[0] + cols[1] + cols[2])
+            else:
+                key = cached_bitstream_bytes(_geometry(device, rows, *cols))
+            ranked.append((key, rows, *cols))
+    ranked.sort()  # H is unique per candidate, so the widths never decide
+    return tuple(ranked)
+
+
+def place_ranked(
+    device: Device,
+    ranked: Sequence[Candidate],
+    forbidden: Sequence[Region] | RegionOccupancy = (),
+) -> PlacedPRR | None:
+    """The first of the *ranked* candidates that places, or ``None``.
+
+    Each H contributes one candidate (its bottom-left window), so the
+    first that places is the ``(objective, H, row, col)`` minimum; a
+    :class:`PRRGeometry` is built only for the candidates tried.
+    """
+    occupancy = _occupancy(forbidden)
+    for _, rows, clb, dsp, bram in ranked:
+        geometry = _geometry(device, rows, clb, dsp, bram)
+        placement = _place_geometry(device, geometry, occupancy)
+        if placement is not None:
+            return placement
+    return None
+
+
 def iter_feasible_placements(
     device: Device,
     requirements: PRMRequirements | Sequence[PRMRequirements],
@@ -114,35 +167,26 @@ def iter_feasible_placements(
     ``forbidden`` accepts a plain region sequence or a prebuilt
     :class:`~repro.core.fastpath.RegionOccupancy`.
     """
-    occupancy = (
-        forbidden
-        if isinstance(forbidden, RegionOccupancy)
-        else RegionOccupancy(forbidden)
-    )
-    for geometry in _feasible_geometries(device, requirements, max_rows):
-        placement = _place_geometry(device, geometry, occupancy)
+    occupancy = _occupancy(forbidden)
+    by_rows = sorted(rank_candidates(device, requirements, max_rows=max_rows), key=itemgetter(1))
+    for candidate in by_rows:
+        placement = place_ranked(device, (candidate,), occupancy)
         if placement is not None:
             yield placement
 
 
-def _feasible_geometries(
-    device: Device,
-    requirements: PRMRequirements | Sequence[PRMRequirements],
-    max_rows: int | None,
-) -> Iterator[PRRGeometry]:
-    """The eq. (1)-(6) geometry of every feasible H, in increasing-H order."""
-    limit = device.rows if max_rows is None else min(max_rows, device.rows)
-    single_dsp_column = device.has_single_dsp_column
-    for rows in range(1, limit + 1):
-        try:
-            yield prr_geometry_for_rows(
-                requirements,
-                device.family,
-                rows,
-                single_dsp_column=single_dsp_column,
-            )
-        except InfeasibleGeometryError:
-            continue
+def _geometry(device: Device, rows: int, clb: int, dsp: int, bram: int) -> PRRGeometry:
+    return PRRGeometry(
+        family=device.family,
+        rows=rows,
+        columns=ResourceVector(clb=clb, dsp=dsp, bram=bram),
+    )
+
+
+def _occupancy(forbidden: Sequence[Region] | RegionOccupancy) -> RegionOccupancy:
+    if isinstance(forbidden, RegionOccupancy):
+        return forbidden
+    return RegionOccupancy(forbidden)
 
 
 def _place_geometry(
@@ -161,11 +205,7 @@ def _place_geometry(
     starts = device.feasible_window_starts(geometry.columns)
     if not starts:
         return None
-    occupancy = (
-        forbidden
-        if isinstance(forbidden, RegionOccupancy)
-        else RegionOccupancy(forbidden)
-    )
+    occupancy = _occupancy(forbidden)
     height, width = geometry.rows, geometry.width
     for row in range(1, device.rows - height + 2):
         for col in starts:
@@ -189,29 +229,20 @@ def find_prr(
     feasible geometry (e.g. too few rows for a single-DSP-column demand, or
     no contiguous column window with the right mix).
     """
-    # Each H contributes exactly one candidate (its bottom-left window),
-    # so ranking the geometries by (objective, H) and stopping at the
-    # first one that places gives the (objective, H, row, col) minimum
-    # without scanning windows for the H values that cannot win.
-    ranked = sorted(
-        _feasible_geometries(device, requirements, max_rows),
-        key=lambda g: (
-            g.size if objective == "size" else cached_bitstream_bytes(g),
-            g.rows,
-        ),
-    )
-    occupancy = (
-        forbidden
-        if isinstance(forbidden, RegionOccupancy)
-        else RegionOccupancy(forbidden)
-    )
-    for geometry in ranked:
-        placement = _place_geometry(device, geometry, occupancy)
-        if placement is not None:
-            return placement
-    names = _names(requirements)
-    raise PlacementNotFoundError(
-        f"no feasible PRR on {device.name} for {names} "
+    ranked = rank_candidates(device, requirements, objective=objective, max_rows=max_rows)
+    placement = place_ranked(device, ranked, forbidden)
+    if placement is None:
+        raise _not_found(device, requirements, objective)
+    return placement
+
+
+def _not_found(
+    device: Device,
+    requirements: PRMRequirements | Sequence[PRMRequirements],
+    objective: Objective,
+) -> PlacementNotFoundError:
+    return PlacementNotFoundError(
+        f"no feasible PRR on {device.name} for {_names(requirements)} "
         f"(objective={objective})"
     )
 
@@ -263,22 +294,22 @@ def search_with_trace(
     *,
     objective: Objective = "size",
 ) -> SearchTrace:
-    """Run :func:`find_prr` while recording every H step (Fig. 1 replay)."""
-    steps: list[tuple[int, PRRGeometry | None, bool]] = []
-    for rows in range(1, device.rows + 1):
-        try:
-            geometry = prr_geometry_for_rows(
-                requirements,
-                device.family,
-                rows,
-                single_dsp_column=device.has_single_dsp_column,
-            )
-        except InfeasibleGeometryError:
-            steps.append((rows, None, False))
-            continue
+    """Replay the Fig. 1 flow on the empty fabric, recording every H step.
+
+    Steps and selection read one :func:`rank_candidates` list, and the
+    selection is what :func:`find_prr` returns on the empty fabric.
+    """
+    ranked = rank_candidates(device, requirements, objective=objective)
+    steps: list[tuple[int, PRRGeometry | None, bool]] = [
+        (rows, None, False) for rows in range(1, device.rows + 1)
+    ]
+    for _, rows, clb, dsp, bram in ranked:
+        geometry = _geometry(device, rows, clb, dsp, bram)
         placed = _place_geometry(device, geometry, ()) is not None
-        steps.append((rows, geometry, placed))
-    selected = find_prr(device, requirements, objective=objective)
+        steps[rows - 1] = (rows, geometry, placed)
+    selected = place_ranked(device, ranked)
+    if selected is None:
+        raise _not_found(device, requirements, objective)
     return SearchTrace(
         device_name=device.name,
         prm_name=_names(requirements),

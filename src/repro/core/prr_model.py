@@ -19,18 +19,17 @@ model computes how many CLB, DSP and BRAM columns the PRR needs:
 For multiple PRMs sharing one PRR, "the largest W_CLB, W_DSP, and W_BRAM
 across all of the PRR's associated PRMs dictates the number of CLB, DSP,
 and BRAM columns" — :func:`merge_geometries` / the ``requirements``
-sequence accepted by :func:`prr_geometry_for_rows`.
+sequence accepted by :func:`group_columns` (every H at once).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from ..devices.family import DeviceFamily
-from ..errors import InfeasiblePlacement
+from ..errors import InfeasiblePlacement, InvalidInput
 from ..devices.resources import ResourceVector
 from .params import PRMRequirements
 
@@ -41,8 +40,7 @@ __all__ = [
     "prr_geometry_for_rows",
     "merge_geometries",
     "InfeasibleGeometryError",
-    "geometry_cache_info",
-    "clear_geometry_cache",
+    "group_columns",
 ]
 
 
@@ -95,9 +93,9 @@ class PRRGeometry:
 
     def __post_init__(self) -> None:
         if self.rows < 1:
-            raise ValueError("a PRR needs at least one row")
+            raise InvalidInput("a PRR needs at least one row")
         if self.columns.is_zero():
-            raise ValueError("a PRR needs at least one column")
+            raise InvalidInput("a PRR needs at least one column")
 
     # -- eqs. (6), (7) ------------------------------------------------------
 
@@ -153,6 +151,41 @@ class PRRGeometry:
         )
 
 
+def group_columns(
+    requirements: PRMRequirements | Sequence[PRMRequirements],
+    family: DeviceFamily,
+    limit: int,
+    *,
+    single_dsp_column: bool = False,
+) -> tuple[tuple[int, int, int] | None, ...]:
+    """Eqs. (1)–(6) for H = 1..``limit``: a group's columns at every H.
+
+    Entry ``H - 1`` is the ``(W_CLB, W_DSP, W_BRAM)`` int triple at that
+    H, or ``None`` when eq. (4) rules the H out.  Section III.B's
+    elementwise max is taken over the members' demands: ``ceil(x / d)``
+    is monotone in ``x``, so the widest member's width at every H is the
+    width of the largest demand.  Every Fig. 1 H-loop reads this.
+    """
+    group = _as_group(requirements)
+    clb_req = max([clb_requirement(prm, family) for prm in group])  # eq. (1)
+    dsp_req = max([prm.dsps for prm in group])
+    bram_req = max([prm.brams for prm in group])
+    # Eq. (4): a lone DSP column has W_DSP = 1 and needs H >= H_DSP.
+    h_dsp = -(-dsp_req // family.dsp_per_col) if single_dsp_column else 1
+    return tuple(
+        None
+        if rows < h_dsp
+        else (
+            -(-clb_req // (rows * family.clb_per_col)),  # eq. (2)
+            min(dsp_req, 1)
+            if single_dsp_column
+            else -(-dsp_req // (rows * family.dsp_per_col)),  # eq. (3)
+            -(-bram_req // (rows * family.bram_per_col)),  # eq. (5)
+        )
+        for rows in range(1, limit + 1)
+    )
+
+
 def prr_geometry_for_rows(
     requirements: PRMRequirements | Sequence[PRMRequirements],
     family: DeviceFamily,
@@ -166,98 +199,36 @@ def prr_geometry_for_rows(
     elementwise-max rule of Section III.B is applied per column kind).
 
     Raises :class:`InfeasibleGeometryError` when the single-DSP-column rule
-    makes the requested ``H`` insufficient.
-
-    Results (including infeasible verdicts) are memoized on the normalized
-    ``(requirements, family, H, single_dsp_column)`` key: the explorer
-    asks for the same group geometry once per set partition it appears in,
-    and the Fig. 1 H-loop re-asks per candidate placement.
+    makes the requested ``H`` insufficient.  Not cached: callers that walk
+    H read :func:`group_columns` once instead.
     """
-    if isinstance(requirements, PRMRequirements):
-        key = (requirements,)
-    else:
-        if not requirements:
-            raise ValueError("at least one PRM requirement is needed")
-        # The elementwise-max merge is order-insensitive, so a canonical
-        # order lets permutations of one group share a cache entry.
-        key = tuple(
-            sorted(
-                requirements,
-                key=lambda p: (p.name, p.lut_ff_pairs, p.luts, p.ffs, p.dsps, p.brams),
-            )
-        )
     if rows < 1:
-        raise ValueError("rows (H) must be >= 1")
-    result = _cached_geometry(key, family, rows, single_dsp_column)
-    if isinstance(result, str):
-        raise InfeasibleGeometryError(result)
-    return result
-
-
-# The measured working sets are small (33 entries on the paper flow; only
-# per-set reuse when exploring fresh PRM sets), so a larger cap would only
-# hold one-shot entries (EXPERIMENTS.md, "Geometry LRU cap").
-@lru_cache(maxsize=1024)
-def _cached_geometry(
-    requirements: tuple[PRMRequirements, ...],
-    family: DeviceFamily,
-    rows: int,
-    single_dsp_column: bool,
-) -> PRRGeometry | str:
-    # lru_cache does not cache raised exceptions, and the infeasible rows of
-    # the Fig. 1 H-loop are exactly the hot repeats — so store the verdict's
-    # message and let the caller raise a fresh error.  Caching the instance
-    # would pin its traceback, which grows by a frame pair on every re-raise.
-    try:
-        merged = ResourceVector()
-        for prm in requirements:
-            merged = merged.max(
-                _columns_for_prm(prm, family, rows, single_dsp_column)
-            )
-        return PRRGeometry(family=family, rows=rows, columns=merged)
-    except InfeasibleGeometryError as error:
-        return error.message
-
-
-def geometry_cache_info():
-    """Hit/miss statistics of the geometry memoization cache."""
-    return _cached_geometry.cache_info()
-
-
-def clear_geometry_cache() -> None:
-    """Drop all memoized geometries (used by equivalence tests)."""
-    _cached_geometry.cache_clear()
-
-
-def _columns_for_prm(
-    prm: PRMRequirements,
-    family: DeviceFamily,
-    rows: int,
-    single_dsp_column: bool,
-) -> ResourceVector:
-    """Per-PRM (W_CLB, W_DSP, W_BRAM) for a fixed H."""
-    clb_req = clb_requirement(prm, family)
-    w_clb = math.ceil(clb_req / (rows * family.clb_per_col)) if clb_req else 0
-
-    if prm.dsps == 0:
-        w_dsp = 0
-    elif single_dsp_column:
-        # Eq. (4): W_DSP = 1; the column's height must cover the demand.
-        h_dsp = math.ceil(prm.dsps / family.dsp_per_col)
-        if h_dsp > rows:
-            raise InfeasibleGeometryError(
-                f"{prm.name}: needs H >= {h_dsp} rows for {prm.dsps} DSPs on a "
-                f"single-DSP-column fabric, but H = {rows}"
-            )
-        w_dsp = 1
-    else:
-        # Eq. (3).
-        w_dsp = math.ceil(prm.dsps / (rows * family.dsp_per_col))
-
-    w_bram = (
-        math.ceil(prm.brams / (rows * family.bram_per_col)) if prm.brams else 0
+        raise InvalidInput("rows (H) must be >= 1")
+    group = _as_group(requirements)
+    columns = group_columns(group, family, rows, single_dsp_column=single_dsp_column)[-1]
+    if columns is None:
+        prm = max(group, key=lambda p: p.dsps)
+        raise InfeasibleGeometryError(
+            f"{prm.name}: needs H >= "
+            f"{min_rows_for_dsps(prm, family, single_dsp_column=True)} rows "
+            f"for {prm.dsps} DSPs on a single-DSP-column fabric, but H = {rows}"
+        )
+    return PRRGeometry(
+        family=family,
+        rows=rows,
+        columns=ResourceVector(clb=columns[0], dsp=columns[1], bram=columns[2]),
     )
-    return ResourceVector(clb=w_clb, dsp=w_dsp, bram=w_bram)
+
+
+def _as_group(
+    requirements: PRMRequirements | Sequence[PRMRequirements],
+) -> Sequence[PRMRequirements]:
+    if isinstance(requirements, PRMRequirements):
+        return (requirements,)
+    group = tuple(requirements)
+    if not group:
+        raise InvalidInput("at least one PRM requirement is needed")
+    return group
 
 
 def merge_geometries(geometries: Sequence[PRRGeometry]) -> PRRGeometry:
@@ -268,16 +239,16 @@ def merge_geometries(geometries: Sequence[PRRGeometry]) -> PRRGeometry:
     in the PRR".
     """
     if not geometries:
-        raise ValueError("nothing to merge")
+        raise InvalidInput("nothing to merge")
     first = geometries[0]
     for geometry in geometries[1:]:
         if geometry.rows != first.rows:
-            raise ValueError(
+            raise InvalidInput(
                 "shared-PRR merge requires a common H "
                 f"(got {first.rows} and {geometry.rows})"
             )
         if geometry.family is not first.family:
-            raise ValueError("shared-PRR merge requires a common device family")
+            raise InvalidInput("shared-PRR merge requires a common device family")
     return PRRGeometry(
         family=first.family,
         rows=first.rows,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from ..devices.fabric import Device, Region
 from ..devices.resources import ResourceVector
+from ..errors import InvalidInput
 from .bitstream_model import ncw_row, ndw_bram
 from .params import PRMRequirements
 from .placement_search import find_prr
@@ -42,14 +43,14 @@ class CompositePRR:
 
     def __post_init__(self) -> None:
         if not self.parts:
-            raise ValueError("a composite PRR needs at least one part")
+            raise InvalidInput("a composite PRR needs at least one part")
         for part in self.parts:
             if not self.device.is_valid_prr(part):
-                raise ValueError(f"{part} is not a valid PRR part")
+                raise InvalidInput(f"{part} is not a valid PRR part")
         for i, a in enumerate(self.parts):
             for b in self.parts[i + 1 :]:
                 if a.overlaps(b):
-                    raise ValueError(f"parts {a} and {b} overlap")
+                    raise InvalidInput(f"parts {a} and {b} overlap")
 
     @property
     def size(self) -> int:
@@ -175,7 +176,7 @@ def find_lshape_prr(
             continue
         try:
             composite = CompositePRR(device=device, parts=(bottom, top_region))
-        except ValueError:
+        except InvalidInput:
             continue
         if not composite.fits(prm):
             continue

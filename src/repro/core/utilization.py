@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import InvalidInput
 from .params import PRMRequirements
 from .prr_model import PRRGeometry, clb_requirement
 
@@ -75,7 +76,7 @@ def _ratio(used: int, available: int) -> float:
     if used == 0:
         return 0.0
     if available == 0:
-        raise ValueError(
+        raise InvalidInput(
             f"requirement {used} cannot be satisfied by zero availability"
         )
     return used / available

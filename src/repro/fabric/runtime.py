@@ -42,6 +42,8 @@ one table that answers each question once per layout:
 
 * fragmentation index — keyed by the layout;
 * placement — keyed by the layout and the demand group;
+* a group's ranked Fig. 1 candidates — keyed by the group alone, so a
+  placement miss re-derives no geometry;
 * defrag-pass steps (a tuple) — keyed by the *named* placements, the
   retired columns and the movable set, since step order breaks ties by
   module name and only movable modules move.
@@ -67,11 +69,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from ..bitgen.generator import PartialBitstream, generate_partial_bitstream
 from ..core.floorplanner import Floorplan, floorplan
 from ..core.params import PRMRequirements
-from ..core.placement_search import (
-    PlacedPRR,
-    PlacementNotFoundError,
-    find_prr,
-)
+from ..core.placement_search import PlacedPRR, place_ranked, rank_candidates
 from ..devices.fabric import Device, Region
 from ..devices.freespace import (
     fragmentation_index,
@@ -749,13 +747,14 @@ class FabricRuntime:
         placement = self._layout_table.get(key, _MISSING)
         if placement is not _MISSING:
             return placement
+        ranked = self._layout_table.get(("rank", group))
+        if ranked is None:
+            ranked = self._remember(
+                ("rank", group), rank_candidates(self.device, group)
+            )
         forbidden = self.occupied_regions()
         forbidden.extend(self.blacklist_regions())
-        try:
-            placement = find_prr(self.device, group, forbidden=forbidden)
-        except PlacementNotFoundError:
-            placement = None
-        return self._remember(key, placement)
+        return self._remember(key, place_ranked(self.device, ranked, forbidden))
 
     def _plan_defrag_pass(
         self, movable: frozenset[str] | None

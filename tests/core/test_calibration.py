@@ -13,6 +13,7 @@ from repro.core.prr_model import PRRGeometry
 from repro.devices.catalog import XC5VLX110T
 from repro.devices.family import VIRTEX5, VIRTEX6
 from repro.devices.resources import ResourceVector
+from repro.errors import InvalidInput
 
 #: Geometrically diverse AND placeable on the LX110T (so the same list
 #: serves the model-only and generated-bitstream fits).
@@ -156,3 +157,21 @@ class TestValidation:
             max_residual_words=0.1,
         )
         assert fitted.exact
+
+
+def test_invalid_inputs_raise_invalid_input():
+    flat = [SizeSample(rows=1, columns=ResourceVector(clb=1), total_bytes=1000)] * 8
+    calls = [
+        lambda: SizeSample(rows=0, columns=ResourceVector(clb=1), total_bytes=1),
+        lambda: SizeSample(rows=1, columns=ResourceVector(clb=1), total_bytes=0),
+        lambda: fit_family_constants(
+            model_samples(VIRTEX5)[:4], frame_words=41, bytes_per_word=4
+        ),
+        lambda: fit_family_constants(
+            model_samples(VIRTEX5), frame_words=0, bytes_per_word=4
+        ),
+        lambda: fit_family_constants(flat, frame_words=41, bytes_per_word=4),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()

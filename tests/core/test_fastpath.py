@@ -15,13 +15,7 @@ from repro.core.fastpath import (
     group_lower_bounds,
 )
 from repro.core.placement_search import PlacementNotFoundError, find_prr
-from repro.core.prr_model import (
-    InfeasibleGeometryError,
-    _cached_geometry,
-    clear_geometry_cache,
-    geometry_cache_info,
-    prr_geometry_for_rows,
-)
+from repro.core.prr_model import InfeasibleGeometryError, prr_geometry_for_rows
 from repro.devices import DEVICES, VIRTEX5, ResourceVector
 from repro.devices.catalog import synthetic_device
 from repro.devices.fabric import Region
@@ -183,40 +177,16 @@ class TestRegionOccupancy:
         assert RegionOccupancy([a, b]).key() == RegionOccupancy([b, a]).key()
 
 
-class TestGeometryMemoization:
-    def test_cache_hits_accumulate(self):
-        clear_geometry_cache()
-        prm = paper_requirements("fir", "virtex5")
-        first = prr_geometry_for_rows(prm, VIRTEX5, 5, single_dsp_column=True)
-        before = geometry_cache_info().hits
-        second = prr_geometry_for_rows(prm, VIRTEX5, 5, single_dsp_column=True)
-        assert geometry_cache_info().hits > before
-        assert first == second
-
-    def test_group_order_shares_entry(self):
-        clear_geometry_cache()
+class TestGroupGeometry:
+    def test_member_order_does_not_change_geometry(self):
         fir = paper_requirements("fir", "virtex6")
         mips = paper_requirements("mips", "virtex6")
-        a = prr_geometry_for_rows([fir, mips], DEVICES["xc6vlx75t"].family, 1)
-        misses = geometry_cache_info().misses
-        b = prr_geometry_for_rows([mips, fir], DEVICES["xc6vlx75t"].family, 1)
-        assert geometry_cache_info().misses == misses
+        family = DEVICES["xc6vlx75t"].family
+        a = prr_geometry_for_rows([fir, mips], family, 1)
+        b = prr_geometry_for_rows([mips, fir], family, 1)
         assert a == b
 
-    def test_infeasible_verdicts_memoized(self):
-        clear_geometry_cache()
-        prm = paper_requirements("fir", "virtex5")
-        from repro.core.prr_model import InfeasibleGeometryError
-
-        with pytest.raises(InfeasibleGeometryError, match="needs H >="):
-            prr_geometry_for_rows(prm, VIRTEX5, 1, single_dsp_column=True)
-        before = geometry_cache_info().hits
-        with pytest.raises(InfeasibleGeometryError, match="needs H >="):
-            prr_geometry_for_rows(prm, VIRTEX5, 1, single_dsp_column=True)
-        assert geometry_cache_info().hits > before
-
-    def test_infeasible_hits_pin_no_growing_traceback(self):
-        clear_geometry_cache()
+    def test_infeasible_raises_fresh_error_without_growing_traceback(self):
         prm = paper_requirements("fir", "virtex5")
         errors, depths = [], []
         for _ in range(6):
@@ -224,11 +194,9 @@ class TestGeometryMemoization:
                 prr_geometry_for_rows(prm, VIRTEX5, 1, single_dsp_column=True)
             errors.append(info.value)
             depths.append(len(traceback.extract_tb(info.value.__traceback__)))
-        assert len(set(depths)) == 1, f"traceback depth grows across hits: {depths}"
+        assert len(set(depths)) == 1, f"traceback depth grows across calls: {depths}"
         assert len({id(e) for e in errors}) == len(errors)
         assert len({str(e) for e in errors}) == 1
-        entry = _cached_geometry((prm,), VIRTEX5, 1, True)
-        assert getattr(entry, "__traceback__", None) is None
 
 
 class TestPlacementCache:

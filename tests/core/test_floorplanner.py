@@ -9,6 +9,7 @@ from repro.core.floorplanner import (
 )
 from repro.core.params import PRMRequirements
 from repro.devices.catalog import XC5VLX110T, XC6VLX75T
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -117,3 +118,8 @@ class TestRender:
     def test_summary(self, v5_prms):
         plan = floorplan(XC5VLX110T, v5_prms)
         assert "static frag" in plan.summary()
+
+
+def test_empty_groups_raise_invalid_input():
+    with pytest.raises(InvalidInput):
+        floorplan(XC5VLX110T, [])

@@ -219,7 +219,7 @@ class TestObjectiveTieBreaking:
 
 
 class TestCachedVersusUncached:
-    """Geometry/bounds caches must not change any Table V search result."""
+    """The byte-count cache must not change any Table V search result."""
 
     PAPER_CASES = [
         (workload, device)
@@ -233,22 +233,23 @@ class TestCachedVersusUncached:
         ids=[f"{w}@{d.name}" for w, d in PAPER_CASES],
     )
     def test_same_placed_prr_and_trace(self, workload, device):
-        from repro.core.prr_model import clear_geometry_cache
+        from repro.core.bitstream_model import clear_bitstream_cache
 
         family = {"xc5vlx110t": "virtex5", "xc6vlx75t": "virtex6"}[device.name]
         prm = paper_requirements(workload, family)
 
-        clear_geometry_cache()
-        cold_placed = find_prr(device, prm)
-        clear_geometry_cache()
-        cold_trace = search_with_trace(device, prm)
+        clear_bitstream_cache()
+        cold_placed = find_prr(device, prm, objective="bitstream")
+        clear_bitstream_cache()
+        cold_trace = search_with_trace(device, prm, objective="bitstream")
 
         # Warm caches, then repeat: results must be identical objects
         # value-wise, including every recorded Fig. 1 step.
-        warm_placed = find_prr(device, prm)
-        warm_trace = search_with_trace(device, prm)
+        warm_placed = find_prr(device, prm, objective="bitstream")
+        warm_trace = search_with_trace(device, prm, objective="bitstream")
 
-        assert warm_placed == cold_placed
+        assert warm_placed == cold_placed == cold_trace.selected
+        assert warm_placed == find_prr(device, prm)  # the objectives agree
         assert warm_trace.steps == cold_trace.steps
         assert warm_trace.selected == cold_trace.selected
         assert warm_trace.render() == cold_trace.render()

@@ -7,12 +7,14 @@ from repro.core.prr_model import (
     InfeasibleGeometryError,
     PRRGeometry,
     clb_requirement,
+    group_columns,
     merge_geometries,
     min_rows_for_dsps,
     prr_geometry_for_rows,
 )
 from repro.devices.family import VIRTEX5, VIRTEX6
 from repro.devices.resources import ResourceVector
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -188,3 +190,25 @@ class TestGeometryValidation:
     def test_needs_a_column(self):
         with pytest.raises(ValueError):
             PRRGeometry(VIRTEX5, 1, ResourceVector())
+
+
+def test_invalid_inputs_raise_invalid_input():
+    one_clb = ResourceVector(1, 0, 0)
+    prm = paper_requirements("sdram", "virtex5")
+    calls = [
+        lambda: PRRGeometry(VIRTEX5, 0, one_clb),
+        lambda: PRRGeometry(VIRTEX5, 1, ResourceVector()),
+        lambda: prr_geometry_for_rows(prm, VIRTEX5, 0),
+        lambda: prr_geometry_for_rows([], VIRTEX5, 1),
+        lambda: group_columns([], VIRTEX5, 3),
+        lambda: merge_geometries([]),
+        lambda: merge_geometries(
+            [PRRGeometry(VIRTEX5, 1, one_clb), PRRGeometry(VIRTEX5, 2, one_clb)]
+        ),
+        lambda: merge_geometries(
+            [PRRGeometry(VIRTEX5, 1, one_clb), PRRGeometry(VIRTEX6, 1, one_clb)]
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()

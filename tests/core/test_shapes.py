@@ -12,6 +12,7 @@ from repro.core.shapes import (
 from repro.devices.catalog import XC5VLX110T
 from repro.devices.fabric import Region
 from repro.devices.resources import ColumnKind
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -127,3 +128,13 @@ class TestLShapeSearch:
             prm = paper_requirements(workload, "virtex5")
             _, lshape = find_lshape_prr(XC5VLX110T, prm)
             assert lshape.fits(prm)
+
+
+def test_invalid_composites_raise_invalid_input():
+    for parts in (
+        (),
+        (clb_region(1, 2), clb_region(2, 2)),
+        (Region(row=1, col=1, height=1, width=1),),
+    ):
+        with pytest.raises(InvalidInput):
+            CompositePRR(device=XC5VLX110T, parts=parts)

@@ -7,6 +7,7 @@ from repro.core.prr_model import PRRGeometry, prr_geometry_for_rows
 from repro.core.utilization import utilization
 from repro.devices.family import VIRTEX5
 from repro.devices.resources import ResourceVector
+from repro.errors import InvalidInput
 
 from tests.conftest import paper_requirements
 
@@ -71,3 +72,10 @@ class TestUtilizationMath:
             ru = utilization(prm, geometry)
             for value in (ru.clb, ru.ff, ru.lut, ru.dsp, ru.bram):
                 assert 0.0 <= value <= 1.0
+
+
+def test_zero_availability_raises_invalid_input():
+    prm = PRMRequirements("x", 8, 8, 0, dsps=1)
+    geometry = PRRGeometry(VIRTEX5, 1, ResourceVector(1, 0, 0))
+    with pytest.raises(InvalidInput, match="zero availability"):
+        utilization(prm, geometry)
